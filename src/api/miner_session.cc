@@ -9,6 +9,7 @@
 #include "core/kernels.h"
 #include "core/newsea.h"
 #include "store/artifact_store.h"
+#include "store/job_journal.h"
 #include "graph/csr_patcher.h"
 #include "graph/difference.h"
 #include "graph/graph_builder.h"
@@ -463,15 +464,21 @@ PreparedPipeline MinerSession::PatchPipeline(
   return out;
 }
 
-Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
-    const MiningRequest& request, bool need_ga, bool* reused) {
-  DCS_RETURN_NOT_OK(FlushUpdates());
+PipelineCacheKey MinerSession::PipelineKeyFor(
+    const MiningRequest& request) const {
   PipelineCacheKey key;
   key.graph_fingerprint = graph_fingerprint_;
   key.alpha = request.alpha;
   key.flip = request.flip;
   key.discretize = request.discretize;
   key.clamp_weights_above = request.clamp_weights_above;
+  return key;
+}
+
+Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
+    const MiningRequest& request, bool need_ga, bool* reused) {
+  DCS_RETURN_NOT_OK(FlushUpdates());
+  const PipelineCacheKey key = PipelineKeyFor(request);
 
   // Runs on this thread inside GetOrPrepare (without the cache lock), at
   // most once per key across every session attached to the cache.
@@ -566,6 +573,27 @@ Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
 bool MinerSession::AverageDegreeOnly(const MiningRequest& request) {
   return request.measure == Measure::kAverageDegree &&
          request.ad_solver_name == "dcsad";
+}
+
+bool MinerSession::Memoizable(const MiningRequest& request) {
+  if (request.warm_start || request.ga_solver.cancel != nullptr) return false;
+  const bool dispatches_ad = request.measure != Measure::kGraphAffinity;
+  const bool dispatches_ga = request.measure != Measure::kAverageDegree;
+  return (!dispatches_ad || request.ad_solver_name == "dcsad") &&
+         (!dispatches_ga || request.ga_solver_name == "dcsga");
+}
+
+std::string MinerSession::ResponseMemoKey(const MiningRequest& request) const {
+  // Mined subgraphs do not depend on these fields (priority and deadline
+  // only schedule; parallelism only reshards the seed loop), so requests
+  // differing only there share one memo slot. fast_math does change the
+  // answer, and Solve applies the session default the same way.
+  MiningRequest canonical = request;
+  canonical.priority = 0;
+  canonical.deadline_seconds = 0.0;
+  canonical.ga_solver.parallelism = 0;
+  canonical.ga_solver.fast_math |= options_.fast_math;
+  return JobJournal::EncodeRequest(canonical);
 }
 
 // True when the request's solve path can consume the shared pool: the knob
@@ -734,35 +762,59 @@ Result<MiningResponse> MinerSession::Mine(const MiningRequest& request,
   // crossed the threshold is detached before this request would use it.
   RefreshHealth();
 
-  MiningResponse response;
   WallTimer build_timer;
   bool reused = false;
   DCS_ASSIGN_OR_RETURN(
       PipelineCache::Snapshot pipeline,
       PreparePipeline(request, !AverageDegreeOnly(request), &reused));
-  response.telemetry.build_seconds = build_timer.Seconds();
+  const double build_seconds = build_timer.Seconds();
+
+  WallTimer solve_timer;
+  // The response memo: a repeated request against the very snapshot it was
+  // solved on returns the stored response instead of solving again.
+  const std::string memo_key =
+      Memoizable(request) ? ResponseMemoKey(request) : std::string();
+  const PipelineCacheKey pipeline_key = PipelineKeyFor(request);
+  std::shared_ptr<const MiningResponse> memoized =
+      memo_key.empty()
+          ? nullptr
+          : cache_->LookupResponse(pipeline_key, pipeline, memo_key);
+  MiningResponse response;
+  if (memoized != nullptr) {
+    // Same cancellation point as Solve's first dispatch.
+    if (cancel != nullptr && cancel->cancelled()) {
+      return Status::Cancelled("mining request cancelled");
+    }
+    response = *memoized;
+    response.telemetry.response_memo_hit = true;
+  } else {
+    const std::span<const VertexId> warm =
+        request.warm_start ? std::span<const VertexId>(warm_support_)
+                           : std::span<const VertexId>();
+    // A single request gets up to the session's whole thread budget; the
+    // pool is only spawned when the solve path can actually use it (see
+    // WantsIntraParallelism), and only as large as the request asks for
+    // (auto = whole budget).
+    ThreadPool* pool = nullptr;
+    if (WantsIntraParallelism(request)) {
+      pool = EnsurePool(request.ga_solver.parallelism == 0
+                            ? ParallelismBudget()
+                            : request.ga_solver.parallelism);
+    }
+    DCS_RETURN_NOT_OK(Solve(*pipeline, request, warm, pool,
+                            static_cast<uint32_t>(ParallelismBudget()), cancel,
+                            &response));
+    // A token that fired after the last poll leaves a complete answer, but
+    // the job it belongs to was cancelled; do not let it outlive the job.
+    if (!memo_key.empty() && (cancel == nullptr || !cancel->cancelled())) {
+      cache_->StoreResponse(pipeline_key, pipeline, memo_key, response);
+    }
+  }
+  response.telemetry.build_seconds = build_seconds;
+  response.telemetry.solve_seconds = solve_timer.Seconds();
   response.telemetry.reused_cached_difference = reused;
   response.telemetry.session_rebuilds = num_rebuilds_;
   FillCacheTelemetry(&response.telemetry);
-
-  WallTimer solve_timer;
-  const std::span<const VertexId> warm =
-      request.warm_start ? std::span<const VertexId>(warm_support_)
-                         : std::span<const VertexId>();
-  // A single request gets up to the session's whole thread budget; the pool
-  // is only spawned when the solve path can actually use it (see
-  // WantsIntraParallelism), and only as large as the request asks for
-  // (auto = whole budget).
-  ThreadPool* pool = nullptr;
-  if (WantsIntraParallelism(request)) {
-    pool = EnsurePool(request.ga_solver.parallelism == 0
-                          ? ParallelismBudget()
-                          : request.ga_solver.parallelism);
-  }
-  DCS_RETURN_NOT_OK(Solve(*pipeline, request, warm, pool,
-                          static_cast<uint32_t>(ParallelismBudget()), cancel,
-                          &response));
-  response.telemetry.solve_seconds = solve_timer.Seconds();
 
   if (request.measure != Measure::kAverageDegree &&
       !response.graph_affinity.empty()) {

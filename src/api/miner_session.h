@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -349,12 +350,27 @@ class MinerSession {
   // maintained per-graph content accumulators.
   uint64_t CurrentFingerprint() const;
 
+  // The cache key of the request's pipeline fields over the session's
+  // current graphs (as of the last flush).
+  PipelineCacheKey PipelineKeyFor(const MiningRequest& request) const;
+
   // Returns the cache snapshot for the request's pipeline fields, building
   // (at most once across sessions) as needed. `need_ga` also prepares the
   // DCSGA artifacts; `reused` reports whether the difference graph came
   // from the cache.
   Result<PipelineCache::Snapshot> PreparePipeline(const MiningRequest& request,
                                                   bool need_ga, bool* reused);
+
+  // True when the request's response is a pure function of its pipeline and
+  // request bytes: warm_start off, no caller-embedded cancel hook, and only
+  // the builtin "dcsad"/"dcsga" solvers dispatched (custom solvers may be
+  // impure).
+  static bool Memoizable(const MiningRequest& request);
+
+  // The response-memo key of a memoizable request: its journal encoding
+  // with the scheduling-only fields (priority, deadline, intra-request
+  // parallelism) zeroed and the session's fast_math default folded in.
+  std::string ResponseMemoKey(const MiningRequest& request) const;
 
   // True when `request`'s solve path can consume the shared pool (the
   // intra-parallelism knob is set and a path exists that honors it).
@@ -381,7 +397,9 @@ class MinerSession {
                uint32_t parallelism_budget, const CancelToken* cancel,
                MiningResponse* response) const;
 
-  // Copies the cache's hit/miss/bytes counters into `telemetry`.
+  // Copies the cache's hit/miss/bytes counters (and the other lifetime
+  // counters) into `telemetry`; called last, so they read *after* the
+  // request.
   void FillCacheTelemetry(MiningTelemetry* telemetry) const;
 
   VertexId num_vertices_;

@@ -18,9 +18,9 @@
 //
 // Determinism: with warm_start off, a MiningResponse is a pure function of
 // the session's graphs and the request — independent of thread counts,
-// batching, async queueing and pipeline-cache sharing. The exceptions are
-// enumerated on MiningTelemetry (wall times, cache counters, and — under
-// intra-request parallelism — the work counters).
+// batching, async queueing, pipeline-cache sharing and response memoization.
+// The exceptions are enumerated on MiningTelemetry (wall times, cache
+// counters, and — under intra-request parallelism — the work counters).
 
 #ifndef DCS_API_MINING_H_
 #define DCS_API_MINING_H_
@@ -209,6 +209,15 @@ struct MiningTelemetry {
   /// prepared earlier by this session, or by *any* session sharing the cache
   /// (api/pipeline_cache.h).
   bool reused_cached_difference = false;
+  /// True iff this response came from the pipeline cache's response memo
+  /// instead of a solve: an identical request (scheduling-only fields
+  /// aside) was solved earlier against the very same cached pipeline — by
+  /// this session or any session sharing the cache. Cache-state telemetry
+  /// like reused_cached_difference: a memoized response carries the stored
+  /// subgraphs and work counters, bit-identical to solving again. Only
+  /// requests with warm_start off that dispatch just the builtin "dcsad" /
+  /// "dcsga" solvers are memoized.
+  bool response_memo_hit = false;
   /// PipelineCache counters *after* this request. Cache-lifetime values,
   /// shared across every session attached to the cache, so under a shared
   /// cache they depend on which sessions got there first — like the
@@ -243,7 +252,8 @@ struct MiningTelemetry {
   /// every other response field is a pure function of graphs + request.
   double build_seconds = 0.0;
   double solve_seconds = 0.0;
-  /// Kernel-layer dispatch counters (core/kernels.h) *after* this request.
+  /// Kernel-layer dispatch counters (core/kernels.h) *after* this request,
+  /// its own solve included (a memoized response runs no kernels).
   /// Process-lifetime (the kernel counters are shared by every session in
   /// the process) and telemetry-only: which ISA served a kernel never
   /// influences the mined subgraphs — the default kernels are bit-identical

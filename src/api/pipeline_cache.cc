@@ -26,6 +26,21 @@ bool BitEqual(const std::optional<double>& a, const std::optional<double>& b) {
   return !a.has_value() || BitEqual(*a, *b);
 }
 
+// Approximate heap footprint of one memoized response, the unit the memo
+// charges against the cache byte budget.
+size_t ApproxBytes(const MiningResponse& response) {
+  size_t bytes = sizeof(MiningResponse);
+  for (const auto* ranking :
+       {&response.average_degree, &response.graph_affinity}) {
+    for (const RankedSubgraph& ranked : *ranking) {
+      bytes += sizeof(RankedSubgraph) +
+               ranked.vertices.capacity() * sizeof(VertexId) +
+               ranked.weights.capacity() * sizeof(double);
+    }
+  }
+  return bytes;
+}
+
 }  // namespace
 
 uint64_t PipelineCacheKey::Hash() const {
@@ -164,19 +179,25 @@ void PipelineCache::InsertLocked(const PipelineCacheKey& key,
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Upgrade: replace in place, refresh recency. Holders of the old
-    // snapshot keep it alive on their own.
+    // snapshot keep it alive on their own. Responses solved on the old
+    // snapshot go with it.
     bytes_ -= it->second.bytes;
     it->second.prepared = std::move(snapshot);
     it->second.bytes = bytes;
+    it->second.memo.clear();
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   } else {
     lru_.push_front(key);
-    entries_.emplace(key, Entry{std::move(snapshot), bytes, lru_.begin()});
+    entries_.emplace(key, Entry{std::move(snapshot), bytes, lru_.begin(), {}});
   }
   bytes_ += bytes;
+  EnforceLimitsLocked();
+}
 
-  // LRU + byte-budget eviction. May reclaim the entry just inserted when it
-  // alone exceeds the byte budget — the caller's snapshot stays valid.
+void PipelineCache::EnforceLimitsLocked() {
+  // LRU + byte-budget eviction. May reclaim the entry just inserted (or just
+  // memoized into) when it alone exceeds the byte budget — the caller's
+  // snapshot and response stay valid.
   while (!lru_.empty() &&
          ((options_.max_entries != 0 && entries_.size() > options_.max_entries) ||
           (options_.max_bytes != 0 && bytes_ > options_.max_bytes))) {
@@ -191,6 +212,54 @@ void PipelineCache::EvictLocked(
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
   if (count_eviction) ++evictions_;
+}
+
+std::shared_ptr<const MiningResponse> PipelineCache::LookupResponse(
+    const PipelineCacheKey& key, const Snapshot& snapshot,
+    const std::string& request_key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.prepared != snapshot) return nullptr;
+  std::vector<MemoizedResponse>& memo = it->second.memo;
+  for (auto hit = memo.begin(); hit != memo.end(); ++hit) {
+    if (hit->request_key == request_key) {
+      std::rotate(memo.begin(), hit, std::next(hit));
+      ++response_hits_;
+      return memo.front().response;
+    }
+  }
+  return nullptr;
+}
+
+void PipelineCache::StoreResponse(const PipelineCacheKey& key,
+                                  const Snapshot& snapshot,
+                                  std::string request_key,
+                                  MiningResponse response) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.prepared != snapshot) return;
+  Entry& entry = it->second;
+  for (const MemoizedResponse& memoized : entry.memo) {
+    // A racing session solved the same request first; its response is
+    // bit-identical, so keep it.
+    if (memoized.request_key == request_key) return;
+  }
+  const size_t bytes = sizeof(MemoizedResponse) + request_key.capacity() +
+                       ApproxBytes(response);
+  entry.memo.insert(
+      entry.memo.begin(),
+      MemoizedResponse{std::move(request_key),
+                       std::make_shared<const MiningResponse>(
+                           std::move(response)),
+                       bytes});
+  entry.bytes += bytes;
+  bytes_ += bytes;
+  if (entry.memo.size() > kResponseMemoCapacity) {
+    entry.bytes -= entry.memo.back().bytes;
+    bytes_ -= entry.memo.back().bytes;
+    entry.memo.pop_back();
+  }
+  EnforceLimitsLocked();
 }
 
 void PipelineCache::Publish(const PipelineCacheKey& key, Snapshot snapshot) {
@@ -254,6 +323,7 @@ PipelineCacheStats PipelineCache::stats() const {
   stats.upgrades = upgrades_;
   stats.republishes = republishes_;
   stats.evictions = evictions_;
+  stats.response_hits = response_hits_;
   stats.entries = entries_.size();
   stats.bytes = bytes_;
   return stats;

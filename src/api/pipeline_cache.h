@@ -38,6 +38,13 @@
 // content, so a solve served from a shared snapshot is bit-identical to one
 // over a privately prepared pipeline. Only the hit/miss/bytes telemetry
 // depends on which sessions got there first.
+//
+// Response memo. Each entry also remembers the last few responses solved on
+// its snapshot (LookupResponse / StoreResponse), so a repeated request
+// against an unchanged pipeline skips the solve. A memoized response is tied
+// to the exact snapshot it was solved on: replacing the entry's snapshot (GA
+// upgrade, streaming republish) clears the memo, and dropping the entry
+// drops it. Which requests may be memoized is the session's decision.
 
 #ifndef DCS_API_PIPELINE_CACHE_H_
 #define DCS_API_PIPELINE_CACHE_H_
@@ -49,11 +56,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "api/mining.h"
 #include "core/newsea.h"       // SmartInitBounds
 #include "graph/difference.h"  // DiscretizeSpec
 #include "graph/graph.h"
@@ -142,8 +151,10 @@ struct PipelineCacheStats {
   /// of letting every key cold-miss after an update.
   uint64_t republishes = 0;
   uint64_t evictions = 0;
+  /// LookupResponse calls served from an entry's response memo.
+  uint64_t response_hits = 0;
   size_t entries = 0;
-  /// Resident bytes (sum of entry ApproxBytes).
+  /// Resident bytes: entry ApproxBytes plus memoized responses.
   size_t bytes = 0;
 };
 
@@ -166,6 +177,9 @@ class PipelineCache {
   /// and add GA artifacts), or nullptr to build from the session's graphs.
   using BuildFn =
       std::function<Result<PreparedPipeline>(const PreparedPipeline* reuse)>;
+
+  /// Responses memoized per entry; the least recently used is dropped first.
+  static constexpr size_t kResponseMemoCapacity = 4;
 
   explicit PipelineCache(PipelineCacheOptions options = {});
 
@@ -197,6 +211,22 @@ class PipelineCache {
   /// are untouched.
   void Publish(const PipelineCacheKey& key, Snapshot snapshot);
 
+  /// \brief The response memoized under `request_key` on `key`'s entry, or
+  /// null. Hits only while the entry still holds `snapshot` — the pipeline
+  /// the caller would solve on — and counts PipelineCacheStats::
+  /// response_hits. The returned response is immutable and outlives
+  /// eviction.
+  std::shared_ptr<const MiningResponse> LookupResponse(
+      const PipelineCacheKey& key, const Snapshot& snapshot,
+      const std::string& request_key);
+
+  /// \brief Memoizes `response`, solved on `snapshot`, under `request_key`
+  /// on `key`'s entry. A no-op when the entry is gone or holds another
+  /// snapshot, or when the key is already memoized. The memo's bytes count
+  /// toward the byte budget, so a large response may evict its own entry.
+  void StoreResponse(const PipelineCacheKey& key, const Snapshot& snapshot,
+                     std::string request_key, MiningResponse response);
+
   /// Resident entries of one graph-pair fingerprint, for the republish walk
   /// above. Snapshots are pinned by the returned vector, so concurrent
   /// eviction cannot invalidate them.
@@ -224,16 +254,28 @@ class PipelineCache {
     }
   };
 
+  struct MemoizedResponse {
+    std::string request_key;
+    std::shared_ptr<const MiningResponse> response;
+    size_t bytes = 0;
+  };
+
   struct Entry {
     Snapshot prepared;
+    /// The snapshot's ApproxBytes plus the memo's bytes.
     size_t bytes = 0;
     /// Position in lru_ (front = most recently used).
     std::list<PipelineCacheKey>::iterator lru_it;
+    /// Responses solved on `prepared`, most recently used first; at most
+    /// kResponseMemoCapacity.
+    std::vector<MemoizedResponse> memo;
   };
 
   // Replaces/creates the entry for `key` and applies the LRU/byte limits.
   // Mutex held.
   void InsertLocked(const PipelineCacheKey& key, Snapshot snapshot);
+  // Evicts least-recently-used entries until both limits hold. Mutex held.
+  void EnforceLimitsLocked();
   // Drops `it`'s entry. Mutex held.
   void EvictLocked(std::unordered_map<PipelineCacheKey, Entry,
                                       KeyHash>::iterator it,
@@ -255,6 +297,7 @@ class PipelineCache {
   uint64_t upgrades_ = 0;
   uint64_t republishes_ = 0;
   uint64_t evictions_ = 0;
+  uint64_t response_hits_ = 0;
 };
 
 }  // namespace dcs

@@ -1,21 +1,27 @@
 // MinerSession tests: construction, AD/GA parity with the direct core
-// calls, pipeline-cache behavior, streaming invalidation, and warm starts.
+// calls, pipeline-cache behavior, streaming invalidation, warm starts, and
+// which requests the response memo may serve.
 
 #include "api/miner_session.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "api/solver_registry.h"
 #include "core/dcs_greedy.h"
+#include "core/kernels.h"
 #include "core/newsea.h"
 #include "gen/coauthor.h"
 #include "graph/difference.h"
 #include "test_util.h"
+#include "util/cancellation.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace dcs {
@@ -25,6 +31,7 @@ using ::dcs::testing::Fig1G1;
 using ::dcs::testing::Fig1G2;
 using ::dcs::testing::Fig1Gd;
 using ::dcs::testing::MakeGraph;
+using ::dcs::testing::SerializeSubgraphs;
 
 TEST(MinerSessionTest, CreateRejectsMismatchedOrEmptyGraphs) {
   EXPECT_TRUE(MinerSession::Create(MakeGraph(3, {}), MakeGraph(4, {}))
@@ -411,6 +418,168 @@ TEST(MinerSessionTest, TopKRequestsRankAndRespectDisjointness) {
   ASSERT_EQ(response->average_degree.size(), 2u);
   EXPECT_EQ(response->average_degree[0].vertices,
             (std::vector<VertexId>{0, 1, 2}));
+}
+
+TEST(MinerSessionTest, MemoizedResponseGivesWayToAnUpdate) {
+  Result<MinerSession> session = MinerSession::Create(Fig1G1(), Fig1G2());
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+  ASSERT_TRUE(session->Mine(request).ok());
+  Result<MiningResponse> repeat = session->Mine(request);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->telemetry.response_memo_hit);
+
+  // The patch path republishes the pipeline under the new fingerprint; the
+  // memo does not follow it.
+  ASSERT_TRUE(session->ApplyUpdate(UpdateSide::kG2, 0, 1, 2.5).ok());
+  Result<MiningResponse> after = session->Mine(request);
+  ASSERT_TRUE(after.ok());
+  EXPECT_FALSE(after->telemetry.response_memo_hit);
+
+  // Fig1G2 with (0,1) raised from 4.0 to 6.5.
+  Result<MinerSession> fresh = MinerSession::Create(
+      Fig1G1(), MakeGraph(5, {{0, 1, 6.5},
+                              {1, 2, 5.0},
+                              {0, 3, 2.0},
+                              {2, 3, 1.0},
+                              {3, 4, 6.0},
+                              {0, 4, 1.0}}));
+  ASSERT_TRUE(fresh.ok());
+  Result<MiningResponse> expected = fresh->Mine(request);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(SerializeSubgraphs(*after), SerializeSubgraphs(*expected));
+  EXPECT_EQ(after->telemetry.initializations,
+            expected->telemetry.initializations);
+  EXPECT_NE(SerializeSubgraphs(*after), SerializeSubgraphs(*repeat));
+}
+
+std::atomic<int> g_counting_solver_runs{0};
+
+// Counts its runs; answers with the heaviest positive edge of GD.
+Result<std::vector<RankedSubgraph>> CountingSolver(
+    const SolverContext& context, const MiningRequest& request,
+    MiningTelemetry* telemetry) {
+  (void)request;
+  (void)telemetry;
+  ++g_counting_solver_runs;
+  RankedSubgraph best;
+  for (const Edge& e : context.difference->UndirectedEdges()) {
+    if (e.weight > best.value) {
+      best.value = e.weight;
+      best.vertices = {e.u, e.v};
+    }
+  }
+  return std::vector<RankedSubgraph>{best};
+}
+
+TEST(MinerSessionTest, WarmStartsAndCustomSolversAlwaysSolve) {
+  static const bool registered =
+      SolverRegistry::Global().Register("memo-counting", &CountingSolver).ok();
+  ASSERT_TRUE(registered);
+  Result<MinerSession> session = MinerSession::Create(Fig1G1(), Fig1G2());
+  ASSERT_TRUE(session.ok());
+
+  MiningRequest warm;
+  warm.measure = Measure::kGraphAffinity;
+  warm.warm_start = true;
+  for (int i = 0; i < 3; ++i) {
+    Result<MiningResponse> response = session->Mine(warm);
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response->telemetry.response_memo_hit);
+    EXPECT_EQ(response->telemetry.warm_start_used, i > 0);
+  }
+
+  // A custom solver on either measure keeps the whole request unmemoized.
+  MiningRequest custom_ga;
+  custom_ga.measure = Measure::kGraphAffinity;
+  custom_ga.ga_solver_name = "memo-counting";
+  MiningRequest custom_ad;
+  custom_ad.measure = Measure::kBoth;
+  custom_ad.ad_solver_name = "memo-counting";
+  g_counting_solver_runs = 0;
+  for (int i = 0; i < 3; ++i) {
+    for (const MiningRequest* request : {&custom_ga, &custom_ad}) {
+      Result<MiningResponse> response = session->Mine(*request);
+      ASSERT_TRUE(response.ok());
+      EXPECT_FALSE(response->telemetry.response_memo_hit);
+    }
+  }
+  EXPECT_EQ(g_counting_solver_runs.load(), 6);
+
+  // A custom solver name on a measure the request does not mine is never
+  // dispatched, so the builtin-only request is memoized.
+  MiningRequest ad_only = custom_ga;
+  ad_only.measure = Measure::kAverageDegree;
+  ASSERT_TRUE(session->Mine(ad_only).ok());
+  Result<MiningResponse> repeat = session->Mine(ad_only);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat->telemetry.response_memo_hit);
+  EXPECT_EQ(g_counting_solver_runs.load(), 6);
+}
+
+TEST(MinerSessionTest, FailedAndCancelledSolvesAreNeverMemoized) {
+  struct DisarmOnExit {
+    ~DisarmOnExit() { FaultInjection::Global().Reset(); }
+  } disarm;
+  Result<MinerSession> session = MinerSession::Create(Fig1G1(), Fig1G2());
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+
+  FaultSpec build_fault;
+  build_fault.site = fault_sites::kCacheBuild;
+  build_fault.times = 1;
+  ASSERT_TRUE(FaultInjection::Global().Arm(build_fault).ok());
+  EXPECT_FALSE(session->Mine(request).ok());
+  FaultInjection::Global().Reset();
+  Result<MiningResponse> solved = session->Mine(request);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_FALSE(solved->telemetry.response_memo_hit);
+
+  request.alpha = 2.0;
+  CancelToken cancelled;
+  cancelled.Cancel();
+  EXPECT_EQ(session->Mine(request, &cancelled).status().code(),
+            StatusCode::kCancelled);
+  Result<MiningResponse> after_cancel = session->Mine(request);
+  ASSERT_TRUE(after_cancel.ok());
+  EXPECT_FALSE(after_cancel->telemetry.response_memo_hit);
+
+  // Now memoized — yet a token fired before dispatch still cancels.
+  EXPECT_EQ(session->Mine(request, &cancelled).status().code(),
+            StatusCode::kCancelled);
+  Result<MiningResponse> memoized = session->Mine(request);
+  ASSERT_TRUE(memoized.ok());
+  EXPECT_TRUE(memoized->telemetry.response_memo_hit);
+  EXPECT_EQ(SerializeSubgraphs(*memoized), SerializeSubgraphs(*after_cancel));
+}
+
+TEST(MinerSessionTest, KernelCountersIncludeTheRequestsOwnSolve) {
+  const CoauthorData data = [] {
+    Rng rng(99);
+    CoauthorConfig config;
+    config.num_authors = 200;
+    config.emerging_sizes = {5};
+    config.disappearing_sizes = {};
+    Result<CoauthorData> generated = GenerateCoauthorData(config, &rng);
+    DCS_CHECK(generated.ok());
+    return std::move(generated).value();
+  }();
+  Result<MinerSession> session = MinerSession::Create(data.g1, data.g2);
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  request.measure = Measure::kGraphAffinity;
+  ASSERT_EQ(request.ga_solver.parallelism, 1u);
+  // Solved, then served from the memo: both read the counters last.
+  for (const bool memo_hit : {false, true}) {
+    Result<MiningResponse> response = session->Mine(request);
+    const KernelCounters after = KernelCountersSnapshot();
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->telemetry.response_memo_hit, memo_hit);
+    EXPECT_EQ(response->telemetry.kernel_simd_calls, after.avx2_calls);
+    EXPECT_EQ(response->telemetry.kernel_scalar_calls, after.scalar_calls);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // PipelineCache tests: cross-session reuse bit-identity, build-once gating
 // under concurrency, copy-on-write invalidation on ApplyUpdate, LRU and
-// byte-budget eviction (including racing in-flight solves), and the
-// hit/miss/bytes telemetry contract.
+// byte-budget eviction (including racing in-flight solves), the
+// hit/miss/bytes telemetry contract, and the per-entry response memo.
 
 #include "api/pipeline_cache.h"
 
@@ -20,6 +20,7 @@
 #include "api/mining.h"
 #include "api/mining_service.h"
 #include "gen/coauthor.h"
+#include "store/job_journal.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -30,6 +31,7 @@ using ::dcs::testing::Fig1G1;
 using ::dcs::testing::Fig1G2;
 using ::dcs::testing::Fig1Gd;
 using ::dcs::testing::MakeGraph;
+using ::dcs::testing::SerializeDeterministic;
 using ::dcs::testing::SerializeSubgraphs;
 
 SessionOptions WithCache(std::shared_ptr<PipelineCache> cache) {
@@ -489,6 +491,288 @@ TEST(PipelineCacheTest, BuildFailurePropagatesAndLeavesCacheUsable) {
   ASSERT_TRUE(ok.ok());
   EXPECT_FALSE(reused);
   EXPECT_EQ(cache->stats().entries, 1u);
+}
+
+// The full deterministic image of a response: the journal's byte encoding of
+// its rankings plus the deterministic telemetry.
+std::string ResponseBytes(const MiningResponse& response) {
+  return JobJournal::EncodeResponseContent(response) +
+         SerializeDeterministic(response);
+}
+
+// A small graph-affinity pipeline built straight through the cache API.
+PipelineCache::Snapshot PrepareFig1(PipelineCache* cache,
+                                    const PipelineCacheKey& key) {
+  bool reused = false;
+  Result<PipelineCache::Snapshot> snapshot = cache->GetOrPrepare(
+      key, /*need_ga=*/false,
+      [](const PreparedPipeline*) -> Result<PreparedPipeline> {
+        PreparedPipeline out;
+        out.difference = Fig1Gd();
+        return out;
+      },
+      &reused);
+  DCS_CHECK(snapshot.ok());
+  return std::move(snapshot).value();
+}
+
+MiningResponse ResponseWithValue(double value) {
+  MiningResponse response;
+  RankedSubgraph ranked;
+  ranked.vertices = {0, 1};
+  ranked.value = value;
+  response.average_degree.push_back(ranked);
+  return response;
+}
+
+TEST(ResponseMemoTest, RepeatedRequestIsServedByteIdentically) {
+  const CoauthorData data = PlantedCoauthor();
+  auto cache = std::make_shared<PipelineCache>();
+  Result<MinerSession> session =
+      MinerSession::Create(data.g1, data.g2, WithCache(cache));
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+
+  // Prepare the difference first, so the solve below and its repeat both
+  // read reused_cached_difference = true.
+  ASSERT_TRUE(session->DifferenceSnapshot(request).ok());
+  Result<MiningResponse> solved = session->Mine(request);
+  ASSERT_TRUE(solved.ok());
+  EXPECT_FALSE(solved->telemetry.response_memo_hit);
+  EXPECT_GT(solved->telemetry.initializations, 0u);
+
+  // Scheduling-only fields do not split the memo key.
+  request.priority = 7;
+  request.deadline_seconds = 30.0;
+  request.ga_solver.parallelism = 2;
+  Result<MiningResponse> memoized = session->Mine(request);
+  ASSERT_TRUE(memoized.ok());
+  EXPECT_TRUE(memoized->telemetry.response_memo_hit);
+  EXPECT_EQ(ResponseBytes(*memoized), ResponseBytes(*solved));
+  EXPECT_EQ(cache->stats().response_hits, 1u);
+  EXPECT_EQ(session->num_rebuilds(), 1u);
+
+  // A field the answer depends on is a different key.
+  request.min_affinity = 1e-9;
+  Result<MiningResponse> other = session->Mine(request);
+  ASSERT_TRUE(other.ok());
+  EXPECT_FALSE(other->telemetry.response_memo_hit);
+  EXPECT_EQ(cache->stats().response_hits, 1u);
+}
+
+TEST(ResponseMemoTest, SingleEntryCacheWithAlternatingAlphasNeverHits) {
+  PipelineCacheOptions options;
+  options.max_entries = 1;
+  auto cache = std::make_shared<PipelineCache>(options);
+  Result<MinerSession> session =
+      MinerSession::Create(Fig1G1(), Fig1G2(), WithCache(cache));
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  for (int i = 0; i < 6; ++i) {
+    request.alpha = i % 2 == 0 ? 1.0 : 2.0;
+    Result<MiningResponse> response = session->Mine(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response->telemetry.response_memo_hit) << "request " << i;
+  }
+  EXPECT_EQ(cache->stats().response_hits, 0u);
+  EXPECT_EQ(cache->stats().misses, 6u);
+}
+
+TEST(ResponseMemoTest, FastMathSessionsNeverServeEachOther) {
+  const CoauthorData data = PlantedCoauthor();
+  MiningRequest request;
+  request.measure = Measure::kGraphAffinity;
+
+  SessionOptions fast_options;
+  fast_options.fast_math = true;
+  Result<MinerSession> fast_reference =
+      MinerSession::Create(data.g1, data.g2, fast_options);
+  Result<MinerSession> exact_reference = MinerSession::Create(data.g1, data.g2);
+  ASSERT_TRUE(fast_reference.ok() && exact_reference.ok());
+  Result<MiningResponse> fast_expected = fast_reference->Mine(request);
+  Result<MiningResponse> exact_expected = exact_reference->Mine(request);
+  ASSERT_TRUE(fast_expected.ok() && exact_expected.ok());
+
+  auto cache = std::make_shared<PipelineCache>();
+  fast_options.pipeline_cache = cache;
+  Result<MinerSession> exact =
+      MinerSession::Create(data.g1, data.g2, WithCache(cache));
+  Result<MinerSession> fast =
+      MinerSession::Create(data.g1, data.g2, fast_options);
+  ASSERT_TRUE(exact.ok() && fast.ok());
+  for (int round = 0; round < 2; ++round) {
+    Result<MiningResponse> exact_response = exact->Mine(request);
+    Result<MiningResponse> fast_response = fast->Mine(request);
+    ASSERT_TRUE(exact_response.ok() && fast_response.ok());
+    // Each session hits only its own memo slot, on its second round.
+    EXPECT_EQ(exact_response->telemetry.response_memo_hit, round == 1);
+    EXPECT_EQ(fast_response->telemetry.response_memo_hit, round == 1);
+    EXPECT_EQ(SerializeSubgraphs(*exact_response),
+              SerializeSubgraphs(*exact_expected));
+    EXPECT_EQ(SerializeSubgraphs(*fast_response),
+              SerializeSubgraphs(*fast_expected));
+  }
+  // A request that opts into fast_math itself is the fast session's key.
+  request.ga_solver.fast_math = true;
+  Result<MiningResponse> opted_in = exact->Mine(request);
+  ASSERT_TRUE(opted_in.ok());
+  EXPECT_TRUE(opted_in->telemetry.response_memo_hit);
+  EXPECT_EQ(SerializeSubgraphs(*opted_in), SerializeSubgraphs(*fast_expected));
+}
+
+TEST(ResponseMemoTest, OversizedResponseIsEvictedAndTheCallerKeepsIt) {
+  const CoauthorData data = PlantedCoauthor();
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+
+  // A warm-start request is never memoized, so this cache ends up holding
+  // exactly the pipeline's bytes.
+  auto probe_cache = std::make_shared<PipelineCache>();
+  Result<MinerSession> probe =
+      MinerSession::Create(data.g1, data.g2, WithCache(probe_cache));
+  ASSERT_TRUE(probe.ok());
+  MiningRequest warm = request;
+  warm.warm_start = true;
+  Result<MiningResponse> expected = probe->Mine(warm);
+  ASSERT_TRUE(expected.ok());
+  const size_t pipeline_bytes = probe_cache->stats().bytes;
+  ASSERT_GT(pipeline_bytes, 0u);
+
+  // The pipeline alone fits the budget; pipeline plus memo does not.
+  PipelineCacheOptions options;
+  options.max_bytes = pipeline_bytes;
+  auto cache = std::make_shared<PipelineCache>(options);
+  Result<MinerSession> session =
+      MinerSession::Create(data.g1, data.g2, WithCache(cache));
+  ASSERT_TRUE(session.ok());
+  for (int round = 0; round < 2; ++round) {
+    Result<MiningResponse> response = session->Mine(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_FALSE(response->telemetry.response_memo_hit);
+    EXPECT_EQ(SerializeSubgraphs(*response), SerializeSubgraphs(*expected));
+  }
+  const PipelineCacheStats stats = cache->stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.evictions, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.response_hits, 0u);
+}
+
+TEST(ResponseMemoTest, MemoLivesExactlyAsLongAsItsSnapshot) {
+  PipelineCache cache;
+  PipelineCacheKey key;
+  key.graph_fingerprint = 42;
+  const PipelineCache::Snapshot snapshot = PrepareFig1(&cache, key);
+  const size_t pipeline_bytes = cache.stats().bytes;
+
+  cache.StoreResponse(key, snapshot, "request", ResponseWithValue(1.0));
+  EXPECT_GT(cache.stats().bytes, pipeline_bytes);
+  ASSERT_NE(cache.LookupResponse(key, snapshot, "request"), nullptr);
+  EXPECT_EQ(cache.LookupResponse(key, snapshot, "request")
+                ->average_degree.front()
+                .value,
+            1.0);
+  EXPECT_EQ(cache.LookupResponse(key, snapshot, "other"), nullptr);
+  EXPECT_EQ(cache.stats().response_hits, 2u);
+
+  // Another snapshot of the same content is not the one solved on.
+  auto twin = std::make_shared<const PreparedPipeline>(*snapshot);
+  EXPECT_EQ(cache.LookupResponse(key, twin, "request"), nullptr);
+  cache.StoreResponse(key, twin, "twin", ResponseWithValue(2.0));
+  EXPECT_EQ(cache.LookupResponse(key, snapshot, "twin"), nullptr);
+
+  // Replacing the entry's snapshot clears the memo and its bytes.
+  cache.Publish(key, twin);
+  EXPECT_EQ(cache.stats().bytes, twin->ApproxBytes());
+  EXPECT_EQ(cache.LookupResponse(key, twin, "request"), nullptr);
+  EXPECT_EQ(cache.LookupResponse(key, snapshot, "request"), nullptr);
+
+  // Dropping the entry drops the memo.
+  cache.StoreResponse(key, twin, "request", ResponseWithValue(3.0));
+  cache.EraseFingerprint(key.graph_fingerprint);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.LookupResponse(key, twin, "request"), nullptr);
+  cache.StoreResponse(key, twin, "request", ResponseWithValue(3.0));
+  EXPECT_EQ(cache.stats().bytes, 0u) << "no entry, nothing to memoize on";
+}
+
+TEST(ResponseMemoTest, MemoKeepsTheMostRecentlyUsedResponses) {
+  PipelineCache cache;
+  PipelineCacheKey key;
+  key.graph_fingerprint = 43;
+  const PipelineCache::Snapshot snapshot = PrepareFig1(&cache, key);
+  const size_t capacity = PipelineCache::kResponseMemoCapacity;
+  for (size_t i = 0; i < capacity; ++i) {
+    cache.StoreResponse(key, snapshot, std::to_string(i),
+                        ResponseWithValue(static_cast<double>(i)));
+  }
+  // Touch the oldest, then overflow by one: the least recently used ("1")
+  // goes.
+  ASSERT_NE(cache.LookupResponse(key, snapshot, "0"), nullptr);
+  cache.StoreResponse(key, snapshot, "new", ResponseWithValue(-1.0));
+  EXPECT_EQ(cache.LookupResponse(key, snapshot, "1"), nullptr);
+  for (const char* kept : {"0", "2", "3", "new"}) {
+    EXPECT_NE(cache.LookupResponse(key, snapshot, kept), nullptr) << kept;
+  }
+  // A second store of a memoized key keeps the first response.
+  cache.StoreResponse(key, snapshot, "0", ResponseWithValue(99.0));
+  EXPECT_EQ(
+      cache.LookupResponse(key, snapshot, "0")->average_degree.front().value,
+      0.0);
+  cache.Clear();
+  EXPECT_EQ(cache.LookupResponse(key, snapshot, "0"), nullptr);
+}
+
+TEST(ResponseMemoTest, ConcurrentSessionsShareMemoizedResponsesBitIdentically) {
+  const CoauthorData data = PlantedCoauthor();
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+  Result<MinerSession> reference = MinerSession::Create(data.g1, data.g2);
+  ASSERT_TRUE(reference.ok());
+  Result<MiningResponse> expected = reference->Mine(request);
+  ASSERT_TRUE(expected.ok());
+  const std::string expected_bytes =
+      JobJournal::EncodeResponseContent(*expected);
+
+  auto cache = std::make_shared<PipelineCache>();
+  constexpr int kSessions = 8;
+  constexpr int kRounds = 3;
+  std::atomic<int> failures{0};
+  std::atomic<int> memo_hits{0};
+  {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kSessions; ++i) {
+      threads.emplace_back([&] {
+        Result<MinerSession> session =
+            MinerSession::Create(data.g1, data.g2, WithCache(cache));
+        if (!session.ok()) {
+          ++failures;
+          return;
+        }
+        for (int round = 0; round < kRounds; ++round) {
+          Result<MiningResponse> response = session->Mine(request);
+          if (!response.ok() ||
+              JobJournal::EncodeResponseContent(*response) != expected_bytes ||
+              response->telemetry.initializations !=
+                  expected->telemetry.initializations) {
+            ++failures;
+            return;
+          }
+          memo_hits += response->telemetry.response_memo_hit ? 1 : 0;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  // Every session's later rounds find its own first round's store at the
+  // latest.
+  EXPECT_GE(memo_hits.load(), kSessions * (kRounds - 1));
+  EXPECT_EQ(cache->stats().response_hits,
+            static_cast<uint64_t>(memo_hits.load()));
+  EXPECT_EQ(cache->stats().misses, 1u);
 }
 
 }  // namespace

@@ -63,8 +63,8 @@ constexpr FlagSpec kFlagTable[] = {
      "submit through the MiningService job queue and poll the "
      "queued -> running -> done lifecycle"},
     {"--shared-cache", "<n>",
-     "mine through n concurrent sessions attached to one shared "
-     "PipelineCache; prints per-session and cache telemetry"},
+     "mine through n sessions attached to one shared PipelineCache "
+     "(session 0 first, the rest concurrently); prints cache telemetry"},
     {"--tenants", "<n>",
      "submit the request to n tenants of one multi-tenant MiningService "
      "(shared executors, worker pool and pipeline cache); asserts all "
@@ -311,10 +311,11 @@ bool SameRanking(const std::vector<RankedSubgraph>& a,
 }
 
 // The --shared-cache path: n sessions over copies of the same graphs, all
-// attached to one PipelineCache, mining `request` concurrently. Exactly one
-// session pays the pipeline preparation; every response must be
-// bit-identical (the cross-session determinism guarantee). Returns the
-// response of session 0, or an error status.
+// attached to one PipelineCache. Session 0 mines `request` first and pays
+// the pipeline preparation and the solve; sessions 1..n-1 then mine it
+// concurrently and are served from the cache's response memo. Every
+// response must be bit-identical (the cross-session determinism guarantee).
+// Returns the response of session 0, or an error status.
 Result<MiningResponse> MineSharedCache(
     const Args& args, const Graph& g1, const Graph& g2,
     const MiningRequest& request,
@@ -324,23 +325,23 @@ Result<MiningResponse> MineSharedCache(
   std::vector<Result<MiningResponse>> responses(
       n, Result<MiningResponse>(Status::Internal("not mined")));
   std::vector<uint64_t> rebuilds(n, 0);
+  auto mine = [&](uint32_t i) {
+    SessionOptions options;
+    options.pipeline_cache = cache;
+    options.artifact_store = store;
+    Result<MinerSession> session = MinerSession::Create(g1, g2, options);
+    if (!session.ok()) {
+      responses[i] = session.status();
+      return;
+    }
+    responses[i] = session->Mine(request);
+    rebuilds[i] = session->num_rebuilds();
+  };
+  mine(0);
   {
     std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      threads.emplace_back([&, i] {
-        SessionOptions options;
-        options.pipeline_cache = cache;
-        options.artifact_store = store;
-        Result<MinerSession> session = MinerSession::Create(g1, g2, options);
-        if (!session.ok()) {
-          responses[i] = session.status();
-          return;
-        }
-        responses[i] = session->Mine(request);
-        rebuilds[i] = session->num_rebuilds();
-      });
-    }
+    threads.reserve(n - 1);
+    for (uint32_t i = 1; i < n; ++i) threads.emplace_back(mine, i);
     for (std::thread& t : threads) t.join();
   }
   for (uint32_t i = 0; i < n; ++i) {
@@ -362,10 +363,11 @@ Result<MiningResponse> MineSharedCache(
     const PipelineCacheStats stats = cache->stats();
     std::printf(
         "# shared cache: %u sessions, %llu prepared the pipeline, "
-        "%llu hits / %llu misses, %zu bytes resident\n",
+        "%llu hits / %llu misses, %llu response hits, %zu bytes resident\n",
         n, static_cast<unsigned long long>(prepared),
         static_cast<unsigned long long>(stats.hits),
-        static_cast<unsigned long long>(stats.misses), stats.bytes);
+        static_cast<unsigned long long>(stats.misses),
+        static_cast<unsigned long long>(stats.response_hits), stats.bytes);
     std::printf("# all %u responses bit-identical\n", n);
   }
   return std::move(responses[0]);
