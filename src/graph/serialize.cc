@@ -3,40 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/byte_codec.h"
+
 namespace dcs {
 
 namespace {
-
-void AppendU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU32(std::span<const uint8_t> bytes, size_t* cursor, uint32_t* v) {
-  if (bytes.size() - *cursor < 4) return false;
-  std::memcpy(v, bytes.data() + *cursor, 4);
-  *cursor += 4;
-  return true;
-}
-
-bool ReadU64(std::span<const uint8_t> bytes, size_t* cursor, uint64_t* v) {
-  if (bytes.size() - *cursor < 8) return false;
-  std::memcpy(v, bytes.data() + *cursor, 8);
-  *cursor += 8;
-  return true;
-}
 
 Status Truncated() {
   return Status::InvalidArgument("graph payload truncated");
@@ -56,7 +31,7 @@ class GraphSerializer {
     }
     for (const Neighbor& nb : graph.neighbors_) {
       AppendU32(nb.to, out);
-      AppendU64(std::bit_cast<uint64_t>(nb.weight), out);
+      AppendDoubleBits(nb.weight, out);
     }
   }
 
@@ -92,12 +67,10 @@ class GraphSerializer {
 
     std::vector<Neighbor> neighbors(static_cast<size_t>(halves));
     for (Neighbor& nb : neighbors) {
-      uint64_t weight_bits = 0;
       if (!ReadU32(bytes, cursor, &nb.to) ||
-          !ReadU64(bytes, cursor, &weight_bits)) {
+          !ReadDoubleBits(bytes, cursor, &nb.weight)) {
         return Truncated();
       }
-      nb.weight = std::bit_cast<double>(weight_bits);
     }
 
     // Re-establish every Graph invariant before materializing: sorted,

@@ -1,20 +1,11 @@
 #include "store/artifact_store.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <bit>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <thread>
+#include <iterator>
 #include <utility>
 
 #include "graph/serialize.h"
-#include "util/checksum.h"
+#include "util/byte_codec.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
 
@@ -22,128 +13,15 @@ namespace dcs {
 
 namespace {
 
-// ---- on-disk framing -------------------------------------------------------
-
-// "DCSSTOR1" as a little-endian u64.
-constexpr uint64_t kSuperMagic = 0x31524F5453534344ull;
-// "PAGE" as a little-endian u32.
-constexpr uint32_t kPageMagic = 0x45474150u;
-constexpr uint32_t kEndianTag = 0x01020304u;
-constexpr size_t kSuperblockBytes = 32;
-constexpr size_t kPageHeaderBytes = 32;
-
 constexpr uint32_t kGraphRecord = 1;
 constexpr uint32_t kPipelineRecord = 2;
 
-// Superblock layout: magic u64 | version u32 | endian u32 | checksum u64 of
-// the preceding 16 bytes | reserved u64.
-// Page header layout: magic u32 | type u32 | key u64 | payload_bytes u64 |
-// payload checksum u64.
-
-void AppendU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU32(std::span<const uint8_t> bytes, size_t* cursor, uint32_t* v) {
-  if (bytes.size() - *cursor < 4) return false;
-  std::memcpy(v, bytes.data() + *cursor, 4);
-  *cursor += 4;
-  return true;
-}
-
-bool ReadU64(std::span<const uint8_t> bytes, size_t* cursor, uint64_t* v) {
-  if (bytes.size() - *cursor < 8) return false;
-  std::memcpy(v, bytes.data() + *cursor, 8);
-  *cursor += 8;
-  return true;
-}
-
-std::string SerializeSuperblock() {
-  std::string out;
-  out.reserve(kSuperblockBytes);
-  AppendU64(kSuperMagic, &out);
-  AppendU32(ArtifactStore::kFormatVersion, &out);
-  AppendU32(kEndianTag, &out);
-  AppendU64(PageChecksum(out.data(), out.size()), &out);
-  AppendU64(0, &out);  // reserved
-  DCS_CHECK(out.size() == kSuperblockBytes);
-  return out;
-}
-
-// Validates a superblock image; reports the version it claims (0 when the
-// magic/endianness/checksum already disqualify it).
-bool ValidSuperblock(std::span<const uint8_t> bytes, uint32_t* version) {
-  *version = 0;
-  if (bytes.size() < kSuperblockBytes) return false;
-  size_t cursor = 0;
-  uint64_t magic = 0, checksum = 0;
-  uint32_t file_version = 0, endian = 0;
-  ReadU64(bytes, &cursor, &magic);
-  ReadU32(bytes, &cursor, &file_version);
-  ReadU32(bytes, &cursor, &endian);
-  ReadU64(bytes, &cursor, &checksum);
-  if (magic != kSuperMagic || endian != kEndianTag ||
-      checksum != PageChecksum(bytes.data(), 16)) {
-    return false;
-  }
-  *version = file_version;
-  // A future format version is unreadable by construction: treat the whole
-  // file as untrusted rather than guessing at its layout.
-  return file_version == ArtifactStore::kFormatVersion;
-}
-
-std::string SerializePageHeader(uint32_t type, uint64_t key,
-                                const std::string& payload) {
-  std::string out;
-  out.reserve(kPageHeaderBytes);
-  AppendU32(kPageMagic, &out);
-  AppendU32(type, &out);
-  AppendU64(key, &out);
-  AppendU64(payload.size(), &out);
-  AppendU64(PageChecksum(payload.data(), payload.size()), &out);
-  DCS_CHECK(out.size() == kPageHeaderBytes);
-  return out;
-}
-
-struct PageHeader {
-  uint32_t type = 0;
-  uint64_t key = 0;
-  uint64_t payload_bytes = 0;
-  uint64_t checksum = 0;
-};
-
-bool ParsePageHeader(std::span<const uint8_t> bytes, size_t* cursor,
-                     PageHeader* header) {
-  uint32_t magic = 0;
-  return ReadU32(bytes, cursor, &magic) && magic == kPageMagic &&
-         ReadU32(bytes, cursor, &header->type) &&
-         (header->type == kGraphRecord || header->type == kPipelineRecord) &&
-         ReadU64(bytes, cursor, &header->key) &&
-         ReadU64(bytes, cursor, &header->payload_bytes) &&
-         ReadU64(bytes, cursor, &header->checksum);
-}
+// "DCSSTOR1" as a little-endian u64.
+constexpr RecordLogFormat kStoreFormat = {
+    "artifact store", 0x31524F5453534344ull, ArtifactStore::kFormatVersion,
+    kPipelineRecord};
 
 // ---- pipeline payloads -----------------------------------------------------
-
-void AppendDoubleBits(double v, std::string* out) {
-  AppendU64(std::bit_cast<uint64_t>(v), out);
-}
-
-bool ReadDoubleBits(std::span<const uint8_t> bytes, size_t* cursor,
-                    double* v) {
-  uint64_t b = 0;
-  if (!ReadU64(bytes, cursor, &b)) return false;
-  *v = std::bit_cast<double>(b);
-  return true;
-}
 
 std::string SerializePipeline(const PipelineCacheKey& key,
                               const PreparedPipeline& pipeline) {
@@ -269,104 +147,27 @@ Result<std::pair<PipelineCacheKey, PreparedPipeline>> ParsePipeline(
   return std::make_pair(std::move(key), std::move(pipeline));
 }
 
-// ---- advisory file locking -------------------------------------------------
-
-// flock() taken for the duration of one read or append. Advisory: every
-// store handle (in this or any other process) takes it around file I/O, so
-// appends never interleave and reads never observe a torn append. EINTR is
-// retried; other errors degrade to lockless I/O (single-process use still
-// correct via the handle mutex).
-class ScopedFileLock {
- public:
-  ScopedFileLock(int fd, int op) : fd_(fd) {
-    // The store.flock fault site models a failing flock() — the lock
-    // degrades to lockless I/O, exactly the real-error path below.
-    if (FaultHit(fault_sites::kStoreFlock)) {
-      fd_ = -1;
-      return;
-    }
-    while (flock(fd_, op) != 0 && errno == EINTR) {
-    }
-  }
-  ~ScopedFileLock() {
-    if (fd_ < 0) return;
-    while (flock(fd_, LOCK_UN) != 0 && errno == EINTR) {
-    }
-  }
-  ScopedFileLock(const ScopedFileLock&) = delete;
-  ScopedFileLock& operator=(const ScopedFileLock&) = delete;
-
- private:
-  int fd_;
-};
-
-Result<uint64_t> FileSize(int fd) {
-  struct stat st;
-  if (fstat(fd, &st) != 0) {
-    return Status::IoError(std::string("fstat failed: ") +
-                           std::strerror(errno));
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
-Status ReadExact(int fd, uint64_t offset, size_t size, uint8_t* out) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = pread(fd, out + done, size - done,
-                            static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("pread failed: ") +
-                             std::strerror(errno));
-    }
-    if (n == 0) return Status::IoError("unexpected end of store file");
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status WriteExact(int fd, uint64_t offset, const std::string& bytes) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = pwrite(fd, bytes.data() + done, bytes.size() - done,
-                             static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("pwrite failed: ") +
-                             std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
-// ---- open / scan -----------------------------------------------------------
+// ---- open / read / append --------------------------------------------------
 
-ArtifactStore::ArtifactStore(std::string path, ArtifactStoreOptions options,
-                             int fd)
-    : path_(std::move(path)), options_(options), fd_(fd) {
+ArtifactStore::ArtifactStore(std::string path, RecordLog log)
+    : path_(std::move(path)), log_(std::move(log)) {
   writer_ = std::thread(&ArtifactStore::WriterLoop, this);
 }
 
 Result<std::shared_ptr<ArtifactStore>> ArtifactStore::Open(
     std::string path, ArtifactStoreOptions options) {
-  const int flags = options.create_if_missing ? (O_RDWR | O_CREAT) : O_RDWR;
-  const int fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    const std::string reason = std::strerror(errno);
-    if (errno == ENOENT) {
-      return Status::NotFound("artifact store " + path + ": " + reason);
-    }
-    return Status::IoError("cannot open artifact store " + path + ": " +
-                           reason);
-  }
+  DCS_ASSIGN_OR_RETURN(
+      RecordLog log,
+      RecordLog::Open(path, kStoreFormat, options.create_if_missing));
   auto store = std::shared_ptr<ArtifactStore>(
-      new ArtifactStore(std::move(path), options, fd));
-  {
-    std::lock_guard<std::mutex> lock(store->mutex_);
-    store->ScanLocked();
+      new ArtifactStore(std::move(path), std::move(log)));
+  std::lock_guard<std::mutex> lock(store->mutex_);
+  // Newest record per key wins (append-mostly overwrite).
+  for (const RecordFrame& frame : store->log_.Scan()) {
+    (frame.type == kGraphRecord ? store->graphs_
+                                : store->pipelines_)[frame.key] = frame;
   }
   return store;
 }
@@ -378,207 +179,50 @@ ArtifactStore::~ArtifactStore() {
   }
   queue_cv_.notify_all();
   if (writer_.joinable()) writer_.join();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
-
-void ArtifactStore::ScanLocked() {
-  graphs_.clear();
-  pipelines_.clear();
-  ScopedFileLock file_lock(fd_, LOCK_SH);
-  Result<uint64_t> size = FileSize(fd_);
-  if (!size.ok()) {
-    reliable_end_ = 0;
-    tail_unreliable_ = true;
-    return;
-  }
-
-  if (*size == 0) {
-    // Brand-new file: trust nothing yet; the first append writes the
-    // superblock (ResetFileLocked), and until then the store is just empty.
-    reliable_end_ = 0;
-    tail_unreliable_ = true;
-    return;
-  }
-
-  // Structural walk only — superblock plus the page-header chain, O(records)
-  // I/O regardless of payload volume, so opening a large store is cheap.
-  // Payload checksums are NOT verified here: every load re-verifies before
-  // its bytes are used (ReadPayloadLocked), which is where "never trust the
-  // file" is actually enforced, and a record that rots after this scan
-  // would dodge an open-time checksum anyway.
-  uint8_t superblock[kSuperblockBytes];
-  uint32_t version = 0;
-  if (!ReadExact(fd_, 0, kSuperblockBytes, superblock).ok() ||
-      !ValidSuperblock(std::span<const uint8_t>(superblock, kSuperblockBytes),
-                       &version)) {
-    // Wrong magic, foreign endianness, bad checksum or a future format
-    // version: the whole file is untrusted. Open empty; the first append
-    // rewrites from scratch.
-    reliable_end_ = 0;
-    tail_unreliable_ = true;
-    ++corrupt_pages_;
-    return;
-  }
-
-  uint64_t cursor = kSuperblockBytes;
-  reliable_end_ = cursor;
-  tail_unreliable_ = false;
-  while (cursor < *size) {
-    const uint64_t record_offset = cursor;
-    uint8_t header_bytes[kPageHeaderBytes];
-    PageHeader header;
-    size_t header_cursor = 0;
-    if (*size - cursor < kPageHeaderBytes ||
-        !ReadExact(fd_, cursor, kPageHeaderBytes, header_bytes).ok() ||
-        !ParsePageHeader(
-            std::span<const uint8_t>(header_bytes, kPageHeaderBytes),
-            &header_cursor, &header) ||
-        header.payload_bytes > *size - cursor - kPageHeaderBytes) {
-      // Broken chain: a torn append or header garbage. Everything from here
-      // on is unreachable — stop indexing; the next append truncates.
-      ++corrupt_pages_;
-      tail_unreliable_ = true;
-      break;
-    }
-    cursor += kPageHeaderBytes + header.payload_bytes;
-    IndexEntry entry;
-    entry.offset = record_offset;
-    entry.payload_bytes = header.payload_bytes;
-    entry.type = header.type;
-    // Newest record per key wins (append-mostly overwrite).
-    (header.type == kGraphRecord ? graphs_ : pipelines_)[header.key] = entry;
-    reliable_end_ = cursor;
-  }
-}
-
-// ---- append path -----------------------------------------------------------
-
-Status ArtifactStore::ResetFileLocked() {
-  if (ftruncate(fd_, 0) != 0) {
-    return Status::IoError(std::string("ftruncate failed: ") +
-                           std::strerror(errno));
-  }
-  DCS_RETURN_NOT_OK(WriteExact(fd_, 0, SerializeSuperblock()));
-  graphs_.clear();
-  pipelines_.clear();
-  reliable_end_ = kSuperblockBytes;
-  tail_unreliable_ = false;
-  return Status::OK();
 }
 
 Status ArtifactStore::AppendLocked(uint32_t type, uint64_t key,
                                    const std::string& payload) {
-  if (fd_ < 0) return Status::IoError("artifact store is closed");
-  ScopedFileLock file_lock(fd_, LOCK_EX);
-  if (tail_unreliable_) {
-    // Untrusted superblock (reliable_end_ == 0) rebuilds the whole file;
-    // a corrupt tail is truncated back to the last valid record.
-    if (reliable_end_ < kSuperblockBytes) {
-      DCS_RETURN_NOT_OK(ResetFileLocked());
-    } else {
-      Result<uint64_t> size = FileSize(fd_);
-      if (size.ok() && *size > reliable_end_) {
-        truncated_tail_bytes_ += *size - reliable_end_;
-      }
-      if (ftruncate(fd_, static_cast<off_t>(reliable_end_)) != 0) {
-        return Status::IoError(std::string("ftruncate failed: ") +
-                               std::strerror(errno));
-      }
-      tail_unreliable_ = false;
-    }
-  }
-  // Another process may have appended since our scan; never overwrite its
-  // records — append at the true end of file.
-  DCS_ASSIGN_OR_RETURN(uint64_t end, FileSize(fd_));
-  const uint64_t write_offset = std::max(end, reliable_end_);
-  std::string frame = SerializePageHeader(type, key, payload);
-  frame += payload;
-  // Transient write failures — and the store.append fault site — are
-  // retried with deterministic exponential backoff before surfacing. The
-  // pwrite targets fixed offsets, so a retry over a partial write is
-  // idempotent.
-  Status wrote;
-  for (uint32_t attempt = 0;; ++attempt) {
-    wrote = FaultHit(fault_sites::kStoreAppend)
-                ? FaultInjection::InjectedError(fault_sites::kStoreAppend)
-                : WriteExact(fd_, write_offset, frame);
-    if (wrote.ok() || !wrote.IsIoError() ||
-        attempt >= options_.max_io_retries) {
-      break;
-    }
-    ++io_retries_;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        options_.retry_backoff_ms * static_cast<double>(1u << attempt)));
-  }
-  DCS_RETURN_NOT_OK(wrote);
-  if (options_.sync_writes && fsync(fd_) != 0) {
-    return Status::IoError(std::string("fsync failed: ") +
-                           std::strerror(errno));
-  }
-  IndexEntry entry;
-  entry.offset = write_offset;
-  entry.payload_bytes = payload.size();
-  entry.type = type;
-  (type == kGraphRecord ? graphs_ : pipelines_)[key] = entry;
-  reliable_end_ = write_offset + frame.size();
-  ++appended_records_;
+  DCS_ASSIGN_OR_RETURN(
+      RecordFrame frame,
+      log_.Append(type, key, payload, fault_sites::kStoreAppend));
+  (type == kGraphRecord ? graphs_ : pipelines_)[key] = frame;
   return Status::OK();
 }
 
-Status ArtifactStore::ReadPayloadLocked(uint64_t expected_key,
-                                        const IndexEntry& entry,
-                                        std::vector<uint8_t>* payload) {
-  ScopedFileLock file_lock(fd_, LOCK_SH);
-  std::vector<uint8_t> frame(kPageHeaderBytes +
-                             static_cast<size_t>(entry.payload_bytes));
-  // Same bounded-retry policy as AppendLocked, covering real transient
-  // pread failures and the store.read fault site. Only I/O errors retry;
-  // a checksum mismatch is content rot, not transience.
-  Status read;
-  for (uint32_t attempt = 0;; ++attempt) {
-    read = FaultHit(fault_sites::kStoreRead)
-               ? FaultInjection::InjectedError(fault_sites::kStoreRead)
-               : ReadExact(fd_, entry.offset, frame.size(), frame.data());
-    if (read.ok() || !read.IsIoError() ||
-        attempt >= options_.max_io_retries) {
-      break;
-    }
-    ++io_retries_;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        options_.retry_backoff_ms * static_cast<double>(1u << attempt)));
+Result<std::vector<uint8_t>> ArtifactStore::LoadPayloadLocked(
+    Directory* directory, uint64_t key) {
+  ++loads_;
+  const auto it = directory->find(key);
+  if (it == directory->end()) {
+    ++load_misses_;
+    return Status::NotFound("no record for key");
   }
-  PageHeader header;
-  size_t cursor = 0;
-  if (!read.ok() || !ParsePageHeader(frame, &cursor, &header) ||
-      header.type != entry.type || header.key != expected_key ||
-      header.payload_bytes != entry.payload_bytes ||
-      PageChecksum(frame.data() + kPageHeaderBytes,
-                   static_cast<size_t>(entry.payload_bytes)) !=
-          header.checksum) {
-    // The page rotted (the open-time scan is structural only; content is
+  ScopedFileLock file_lock = log_.SharedLock();
+  Result<std::vector<uint8_t>> payload = log_.ReadFrame(
+      it->second, fault_sites::kStoreRead, RecordLog::kMaxIoRetries);
+  if (!payload.ok()) {
+    // The frame rotted (the open-time scan is structural only; content is
     // verified here, on first use). Drop it and every record behind it from
-    // the directory and mark the tail unreliable at its offset: the caller
-    // rebuilds, and the next write-back truncates the rot away so the file
-    // converges back to fsck-clean.
-    ++corrupt_pages_;
-    // `entry` references map storage that the erase loop below may free —
-    // copy the pivot offset out first.
-    const uint64_t bad_offset = entry.offset;
-    for (auto* directory : {&graphs_, &pipelines_}) {
-      for (auto it = directory->begin(); it != directory->end();) {
-        it = it->second.offset >= bad_offset ? directory->erase(it) : ++it;
+    // the directory and let the next write-back truncate the rot away, so
+    // the file converges back to fsck-clean. Copy the pivot offset out
+    // first: the erase loop may free the entry `it` points at.
+    ++load_misses_;
+    const uint64_t bad_offset = it->second.offset;
+    for (Directory* d : {&graphs_, &pipelines_}) {
+      for (auto e = d->begin(); e != d->end();) {
+        e = e->second.offset >= bad_offset ? d->erase(e) : std::next(e);
       }
     }
-    if (!tail_unreliable_ || bad_offset < reliable_end_) {
-      reliable_end_ = std::max<uint64_t>(bad_offset, kSuperblockBytes);
-      tail_unreliable_ = true;
-    }
-    return Status::NotFound("artifact record failed verification");
+    log_.MarkUnreliableFrom(bad_offset);
   }
-  payload->assign(frame.begin() + kPageHeaderBytes, frame.end());
-  return Status::OK();
+  return payload;
+}
+
+void ArtifactStore::RejectContentLocked(Directory* directory, uint64_t key) {
+  log_.CountCorruptPage();
+  ++load_misses_;
+  directory->erase(key);
 }
 
 // ---- graph records ---------------------------------------------------------
@@ -593,27 +237,15 @@ Status ArtifactStore::PutGraph(const Graph& graph) {
 
 Result<Graph> ArtifactStore::LoadGraph(uint64_t fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++loads_;
-  const auto it = graphs_.find(fingerprint);
-  if (it == graphs_.end()) {
-    ++load_misses_;
-    return Status::NotFound("no graph record for fingerprint");
-  }
-  std::vector<uint8_t> payload;
-  Status read = ReadPayloadLocked(fingerprint, it->second, &payload);
-  if (!read.ok()) {
-    ++load_misses_;
-    return read;
-  }
+  DCS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                       LoadPayloadLocked(&graphs_, fingerprint));
   size_t cursor = 0;
   Result<Graph> parsed = ParseGraphBytes(payload, &cursor);
   if (!parsed.ok() || cursor != payload.size() ||
       parsed->ContentFingerprint() != fingerprint) {
     // Checksum-valid but unparseable or mis-keyed content (a stale or
     // hand-edited file): never let it poison the caller.
-    ++corrupt_pages_;
-    ++load_misses_;
-    graphs_.erase(fingerprint);
+    RejectContentLocked(&graphs_, fingerprint);
     return Status::NotFound("graph record failed content verification");
   }
   return parsed;
@@ -648,25 +280,13 @@ void ArtifactStore::PutPipelineAsync(
 Result<PreparedPipeline> ArtifactStore::LoadPipeline(
     const PipelineCacheKey& key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  ++loads_;
   const uint64_t hash = key.Hash();
-  const auto it = pipelines_.find(hash);
-  if (it == pipelines_.end()) {
-    ++load_misses_;
-    return Status::NotFound("no pipeline record for key");
-  }
-  std::vector<uint8_t> payload;
-  Status read = ReadPayloadLocked(hash, it->second, &payload);
-  if (!read.ok()) {
-    ++load_misses_;
-    return read;
-  }
+  DCS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                       LoadPayloadLocked(&pipelines_, hash));
   Result<std::pair<PipelineCacheKey, PreparedPipeline>> parsed =
       ParsePipeline(payload);
   if (!parsed.ok()) {
-    ++corrupt_pages_;
-    ++load_misses_;
-    pipelines_.erase(hash);
+    RejectContentLocked(&pipelines_, hash);
     return Status::NotFound("pipeline record failed content verification");
   }
   if (!(parsed->first == key)) {
@@ -693,35 +313,17 @@ size_t ArtifactStore::WarmBootFingerprint(uint64_t graph_fingerprint,
 
   size_t hydrated = 0;
   for (const uint64_t hash : hashes) {
-    std::vector<uint8_t> payload;
-    {
+    const Result<std::vector<uint8_t>> payload = [&] {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++loads_;
-      const auto it = pipelines_.find(hash);
-      if (it == pipelines_.end()) {
-        ++load_misses_;
-        continue;
-      }
-      if (!ReadPayloadLocked(hash, it->second, &payload).ok()) {
-        ++load_misses_;
-        continue;
-      }
-    }
+      return LoadPayloadLocked(&pipelines_, hash);
+    }();
+    if (!payload.ok()) continue;
     Result<std::pair<PipelineCacheKey, PreparedPipeline>> parsed =
-        ParsePipeline(payload);
-    if (!parsed.ok()) {
+        ParsePipeline(*payload);
+    // The record's embedded key must hash to its directory slot.
+    if (!parsed.ok() || parsed->first.Hash() != hash) {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++corrupt_pages_;
-      ++load_misses_;
-      pipelines_.erase(hash);
-      continue;
-    }
-    if (parsed->first.Hash() != hash) {
-      // The record's embedded key must hash to its directory slot.
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++corrupt_pages_;
-      ++load_misses_;
-      pipelines_.erase(hash);
+      RejectContentLocked(&pipelines_, hash);
       continue;
     }
     if (graph_fingerprint != 0 &&
@@ -791,17 +393,15 @@ ArtifactStoreStats ArtifactStore::stats() const {
   ArtifactStoreStats stats;
   stats.graph_records = graphs_.size();
   stats.pipeline_records = pipelines_.size();
-  stats.corrupt_pages = corrupt_pages_;
-  stats.appended_records = appended_records_;
+  const RecordLogCounters& log = log_.counters();
+  stats.corrupt_pages = log.corrupt_pages;
+  stats.appended_records = log.appended_records;
   stats.loads = loads_;
   stats.load_misses = load_misses_;
   stats.write_errors = write_errors_;
-  stats.io_retries = io_retries_;
-  stats.truncated_tail_bytes = truncated_tail_bytes_;
-  if (fd_ >= 0) {
-    Result<uint64_t> size = FileSize(fd_);
-    if (size.ok()) stats.file_bytes = *size;
-  }
+  stats.io_retries = log.io_retries;
+  stats.truncated_tail_bytes = log.truncated_tail_bytes;
+  stats.file_bytes = log_.FileBytes();
   return stats;
 }
 
@@ -827,53 +427,7 @@ std::vector<ArtifactRecordInfo> ArtifactStore::ListRecords() const {
 }
 
 Result<ArtifactFsckReport> ArtifactStore::Fsck(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    const std::string reason = std::strerror(errno);
-    if (errno == ENOENT) {
-      return Status::NotFound("artifact store " + path + ": " + reason);
-    }
-    return Status::IoError("cannot open artifact store " + path + ": " +
-                           reason);
-  }
-  ArtifactFsckReport report;
-  {
-    ScopedFileLock file_lock(fd, LOCK_SH);
-    Result<uint64_t> size = FileSize(fd);
-    if (!size.ok()) {
-      ::close(fd);
-      return size.status();
-    }
-    report.file_bytes = *size;
-    std::vector<uint8_t> bytes(static_cast<size_t>(*size));
-    Status read = ReadExact(fd, 0, bytes.size(), bytes.data());
-    ::close(fd);
-    if (!read.ok()) return read;
-
-    report.superblock_ok = ValidSuperblock(bytes, &report.format_version);
-    if (!report.superblock_ok) {
-      report.corrupt_pages = bytes.empty() ? 0 : 1;
-      report.unreliable_tail_bytes = bytes.size();
-      return report;
-    }
-    size_t cursor = kSuperblockBytes;
-    while (cursor < bytes.size()) {
-      PageHeader header;
-      const size_t record_offset = cursor;
-      if (!ParsePageHeader(bytes, &cursor, &header) ||
-          header.payload_bytes > bytes.size() - cursor ||
-          PageChecksum(bytes.data() + cursor,
-                       static_cast<size_t>(header.payload_bytes)) !=
-              header.checksum) {
-        ++report.corrupt_pages;
-        report.unreliable_tail_bytes = bytes.size() - record_offset;
-        break;
-      }
-      cursor += static_cast<size_t>(header.payload_bytes);
-      ++report.valid_records;
-    }
-  }
-  return report;
+  return RecordLog::Fsck(path, kStoreFormat);
 }
 
 }  // namespace dcs

@@ -4,41 +4,32 @@
 //
 // Every in-memory scale layer (the shared PipelineCache, the O(Δ)-patched
 // artifacts) dies with the process; a service restarting under traffic pays
-// a full cold rebuild storm for every graph pair. The store closes that gap
-// in the single-file storage-engine style: a fixed superblock (magic, format
-// version, endianness tag, its own checksum), then an append-mostly log of
-// record pages, each framed by a header carrying a 64-bit checksum
-// (util/checksum.h) of its payload. Two record types exist: CSR graphs
+// a full cold rebuild storm for every graph pair. The store closes that gap.
+// It is a record schema over store/record_log.h, which owns the file format
+// (superblock, checksummed frames), the trust model, the flock discipline
+// and the offline Fsck. Two record types exist: CSR graphs
 // (graph/serialize.h) keyed by Graph::ContentFingerprint, and
 // PreparedPipeline contents (difference graph, GD+, smart-init bounds with
-// the cached seed order) keyed by their full PipelineCacheKey.
+// the cached seed order) keyed by the hash of their full PipelineCacheKey.
 //
-// Trust model: the file is *never* trusted — no bytes reach a caller
-// without verifying first. Open validates the superblock and walks the
-// page-header chain structurally (O(records) I/O, payloads untouched, so
-// opening a large store is cheap); the walk stops at the first broken frame
-// (a torn tail, header garbage) and the next append truncates that
-// unreliable tail. Content verification happens on every load, where it
-// matters: the payload checksum is re-checked, the bytes are parsed
-// defensively (every Graph invariant is re-established), and the content
-// key is re-derived — a graph record must fingerprint to its key, a
-// pipeline record must embed its exact key. Any mismatch reads as
-// "absent", counted in `corrupt_pages`, and de-indexes the record and
-// everything appended after it so the next write-back truncates the rot
-// away: the caller silently rebuilds, the store converges back to clean,
-// and a stale or corrupt file can never poison a session. (Rot inside a
-// superseded record that no load ever touches is surfaced by Fsck's deep
-// scan, not by sessions.) Records are append-mostly — a rewrite appends a
-// fresh page and the directory points at the newest valid record per key.
+// On top of the log the store keeps a directory of the newest record per
+// key (a rewrite appends a fresh frame). Content is verified on every load:
+// the frame checksum is re-checked, the bytes are parsed defensively (every
+// Graph invariant is re-established), and the content key is re-derived — a
+// graph record must fingerprint to its key, a pipeline record must embed its
+// exact key. Any mismatch reads as "absent", counted in `corrupt_pages`, and
+// de-indexes the record and everything appended after it so the next
+// write-back truncates the rot away: the caller silently rebuilds, the store
+// converges back to clean, and a stale or corrupt file can never poison a
+// session. (Rot inside a superseded record that no load ever touches is
+// surfaced by Fsck, not by sessions.)
 //
 // Concurrency: all methods are thread-safe (one internal mutex over the
-// directory and file descriptor). Across processes, every file read/write
-// holds a BSD advisory lock (flock: shared for reads, exclusive for
-// appends), so N processes may serve one store file — appends never
-// interleave and a reader never observes a half-written page that was
-// appended under the lock. Asynchronous write-back (PutPipelineAsync) runs
-// on an owned background thread so a mining hot path never blocks on disk;
-// Flush() drains it, and the destructor drains before closing.
+// directory and the log); across processes the log's flock discipline lets
+// N processes serve one store file. Asynchronous write-back
+// (PutPipelineAsync) runs on an owned background thread so a mining hot path
+// never blocks on disk; Flush() drains it, and the destructor drains before
+// closing.
 //
 // Determinism: payloads carry exact IEEE-754 bit patterns, so an artifact
 // loaded from the store is bit-identical to the one written — a
@@ -61,28 +52,18 @@
 
 #include "api/pipeline_cache.h"
 #include "graph/graph.h"
+#include "store/record_log.h"
 #include "util/status.h"
 
 namespace dcs {
 
-/// Store-level tuning.
+/// Store-level tuning. Appends are never fsynced: the store is a cache of
+/// rebuildable artifacts, so losing a tail on power failure only costs a
+/// rebuild. Transient I/O errors are retried within RecordLog::kMaxIoRetries.
 struct ArtifactStoreOptions {
   /// Create the file (with a fresh superblock) when absent. When false,
   /// opening a missing file fails with NotFound.
   bool create_if_missing = true;
-  /// fsync after every append. Off by default: the store is a cache of
-  /// rebuildable artifacts, so losing a tail on power failure only costs a
-  /// rebuild — the checksummed scan recovers the valid prefix either way.
-  bool sync_writes = false;
-  /// Transient-I/O retry budget: a failing pread/pwrite inside one append or
-  /// payload read is retried up to this many extra times before the error
-  /// surfaces (counted in stats().io_retries). 0 disables retrying.
-  uint32_t max_io_retries = 3;
-  /// Base of the deterministic exponential backoff between retries: attempt
-  /// k sleeps retry_backoff_ms * 2^k milliseconds. No jitter on purpose —
-  /// recovery timing is reproducible, which the chaos tests and
-  /// bench_fault_recovery rely on.
-  double retry_backoff_ms = 0.5;
 };
 
 /// Store-lifetime counters (since Open).
@@ -106,7 +87,10 @@ struct ArtifactStoreStats {
   /// Transient I/O attempts that were retried (reads and writes, including
   /// retries that ultimately failed).
   uint64_t io_retries = 0;
-  /// Bytes the opening scan discarded as an unreliable tail.
+  /// Bytes discarded as unreliable by this handle's appends: a torn or
+  /// rotted tail cut back to the last valid record, or — when the
+  /// superblock itself was bad — the whole old file. The journal counts
+  /// the same way (one truncation rule, store/record_log.h).
   uint64_t truncated_tail_bytes = 0;
   /// Current file size in bytes.
   uint64_t file_bytes = 0;
@@ -120,16 +104,8 @@ struct ArtifactRecordInfo {
   uint64_t payload_bytes = 0;
 };
 
-/// Offline integrity report, for `dcs_store fsck/stat`.
-struct ArtifactFsckReport {
-  bool superblock_ok = false;
-  uint32_t format_version = 0;
-  uint64_t valid_records = 0;
-  uint64_t corrupt_pages = 0;
-  /// Bytes past the last valid record (the tail a writer would truncate).
-  uint64_t unreliable_tail_bytes = 0;
-  uint64_t file_bytes = 0;
-};
+/// Offline integrity report, for `dcs_store fsck`.
+using ArtifactFsckReport = RecordLogFsckReport;
 
 /// \brief Single-file, checksummed, fingerprint-keyed store of graphs and
 /// prepared pipelines. See the file comment for the trust, concurrency and
@@ -217,56 +193,39 @@ class ArtifactStore {
   static Result<ArtifactFsckReport> Fsck(const std::string& path);
 
  private:
-  struct IndexEntry {
-    uint64_t offset = 0;         // of the record header
-    uint64_t payload_bytes = 0;
-    uint32_t type = 0;
-  };
   struct PendingWrite {
     PipelineCacheKey key;
     std::shared_ptr<const PreparedPipeline> pipeline;
   };
+  // Newest valid frame per record key.
+  using Directory = std::unordered_map<uint64_t, RecordFrame>;
 
-  ArtifactStore(std::string path, ArtifactStoreOptions options, int fd);
+  ArtifactStore(std::string path, RecordLog log);
 
-  // Walks the page-header chain from the superblock on, building the index
-  // structurally (payload checksums are left to load time); counts broken
-  // frames and records where the reliable prefix ends. Mutex held.
-  void ScanLocked();
-  // Appends one framed record (header + payload) under the exclusive file
-  // lock, truncating any unreliable tail first. Mutex held.
+  // Appends one record and indexes it. Mutex held.
   Status AppendLocked(uint32_t type, uint64_t key, const std::string& payload);
-  // Reads and verifies the payload of `entry` (shared file lock +
-  // checksum); a failure counts a corrupt page and de-indexes the record
-  // and everything after it so the next append truncates the rot. Mutex
-  // held.
-  Status ReadPayloadLocked(uint64_t expected_key, const IndexEntry& entry,
-                           std::vector<uint8_t>* payload);
-  // Re-creates an empty, superblock-only file. Mutex held.
-  Status ResetFileLocked();
+  // Counts a load of `key` and reads its verified payload under a shared
+  // file lock; counts a miss when the key is absent or its frame fails
+  // verification, which also de-indexes the record and everything after it
+  // so the next append truncates the rot. Mutex held.
+  Result<std::vector<uint8_t>> LoadPayloadLocked(Directory* directory,
+                                                 uint64_t key);
+  // A verified frame whose content failed to parse or re-key: counts a
+  // corrupt page and a miss, and de-indexes the key. Mutex held.
+  void RejectContentLocked(Directory* directory, uint64_t key);
   // Background thread: drains pending_writes_ through AppendLocked.
   void WriterLoop();
 
   const std::string path_;
-  const ArtifactStoreOptions options_;
 
   mutable std::mutex mutex_;
-  int fd_ = -1;
-  // Newest valid record per (type, key); key uses the record header key.
-  std::unordered_map<uint64_t, IndexEntry> graphs_;
-  std::unordered_map<uint64_t, IndexEntry> pipelines_;
-  // First byte past the last record this handle knows to be valid; appends
-  // truncate the file here when the opening scan found a corrupt tail.
-  uint64_t reliable_end_ = 0;
-  bool tail_unreliable_ = false;
-  // Stats (mutex-guarded).
-  uint64_t corrupt_pages_ = 0;
-  uint64_t appended_records_ = 0;
+  RecordLog log_;
+  Directory graphs_;
+  Directory pipelines_;
+  // Stats (mutex-guarded) the log does not keep.
   uint64_t loads_ = 0;
   uint64_t load_misses_ = 0;
   uint64_t write_errors_ = 0;
-  uint64_t io_retries_ = 0;
-  uint64_t truncated_tail_bytes_ = 0;
   // Most recent async write-back failure (mutex_-guarded, like the stats).
   Status last_write_error_;
 

@@ -1,225 +1,23 @@
 #include "store/job_journal.h"
 
-#include <fcntl.h>
-#include <sys/file.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <unordered_map>
 #include <utility>
 
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 #include "util/fault_injection.h"
-#include "util/logging.h"
 
 namespace dcs {
 
 namespace {
 
-// ---- on-disk framing -------------------------------------------------------
-//
-// The PR 6 page format under the journal's own magic. Superblock layout:
-// magic u64 | version u32 | endian u32 | checksum u64 of the preceding 16
-// bytes | reserved u64. Page header layout: magic u32 | type u32 | job id
-// u64 (the key) | payload_bytes u64 | payload checksum u64.
-
 // "DCSJRNL1" as a little-endian u64.
-constexpr uint64_t kJournalMagic = 0x314C4E524A534344ull;
-// "PAGE" as a little-endian u32 (same frame magic as the artifact store —
-// the superblock magic is what distinguishes the two files).
-constexpr uint32_t kPageMagic = 0x45474150u;
-constexpr uint32_t kEndianTag = 0x01020304u;
-constexpr size_t kSuperblockBytes = 32;
-constexpr size_t kPageHeaderBytes = 32;
-
-void AppendU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU32(std::span<const uint8_t> bytes, size_t* cursor, uint32_t* v) {
-  if (bytes.size() - *cursor < 4) return false;
-  std::memcpy(v, bytes.data() + *cursor, 4);
-  *cursor += 4;
-  return true;
-}
-
-bool ReadU64(std::span<const uint8_t> bytes, size_t* cursor, uint64_t* v) {
-  if (bytes.size() - *cursor < 8) return false;
-  std::memcpy(v, bytes.data() + *cursor, 8);
-  *cursor += 8;
-  return true;
-}
-
-void AppendDoubleBits(double v, std::string* out) {
-  AppendU64(std::bit_cast<uint64_t>(v), out);
-}
-
-bool ReadDoubleBits(std::span<const uint8_t> bytes, size_t* cursor,
-                    double* v) {
-  uint64_t b = 0;
-  if (!ReadU64(bytes, cursor, &b)) return false;
-  *v = std::bit_cast<double>(b);
-  return true;
-}
-
-void AppendString(const std::string& s, std::string* out) {
-  AppendU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
-
-bool ReadString(std::span<const uint8_t> bytes, size_t* cursor,
-                std::string* s) {
-  uint32_t len = 0;
-  if (!ReadU32(bytes, cursor, &len)) return false;
-  if (bytes.size() - *cursor < len) return false;
-  s->assign(reinterpret_cast<const char*>(bytes.data() + *cursor), len);
-  *cursor += len;
-  return true;
-}
-
-std::string SerializeSuperblock() {
-  std::string out;
-  out.reserve(kSuperblockBytes);
-  AppendU64(kJournalMagic, &out);
-  AppendU32(JobJournal::kFormatVersion, &out);
-  AppendU32(kEndianTag, &out);
-  AppendU64(PageChecksum(out.data(), out.size()), &out);
-  AppendU64(0, &out);  // reserved
-  DCS_CHECK(out.size() == kSuperblockBytes);
-  return out;
-}
-
-bool ValidSuperblock(std::span<const uint8_t> bytes, uint32_t* version) {
-  *version = 0;
-  if (bytes.size() < kSuperblockBytes) return false;
-  size_t cursor = 0;
-  uint64_t magic = 0, checksum = 0;
-  uint32_t file_version = 0, endian = 0;
-  ReadU64(bytes, &cursor, &magic);
-  ReadU32(bytes, &cursor, &file_version);
-  ReadU32(bytes, &cursor, &endian);
-  ReadU64(bytes, &cursor, &checksum);
-  if (magic != kJournalMagic || endian != kEndianTag ||
-      checksum != PageChecksum(bytes.data(), 16)) {
-    return false;
-  }
-  *version = file_version;
-  // A future format version is unreadable by construction: treat the whole
-  // file as untrusted rather than guessing at its layout.
-  return file_version == JobJournal::kFormatVersion;
-}
-
-std::string SerializePageHeader(uint32_t type, uint64_t job_id,
-                                const std::string& payload) {
-  std::string out;
-  out.reserve(kPageHeaderBytes);
-  AppendU32(kPageMagic, &out);
-  AppendU32(type, &out);
-  AppendU64(job_id, &out);
-  AppendU64(payload.size(), &out);
-  AppendU64(PageChecksum(payload.data(), payload.size()), &out);
-  DCS_CHECK(out.size() == kPageHeaderBytes);
-  return out;
-}
-
-struct PageHeader {
-  uint32_t type = 0;
-  uint64_t job_id = 0;
-  uint64_t payload_bytes = 0;
-  uint64_t checksum = 0;
-};
-
-bool ParsePageHeader(std::span<const uint8_t> bytes, size_t* cursor,
-                     PageHeader* header) {
-  uint32_t magic = 0;
-  return ReadU32(bytes, cursor, &magic) && magic == kPageMagic &&
-         ReadU32(bytes, cursor, &header->type) &&
-         header->type >= JobJournal::kAdmittedRecord &&
-         header->type <= JobJournal::kDoneRecord &&
-         ReadU64(bytes, cursor, &header->job_id) &&
-         ReadU64(bytes, cursor, &header->payload_bytes) &&
-         ReadU64(bytes, cursor, &header->checksum);
-}
-
-// ---- advisory file locking / raw I/O ---------------------------------------
-//
-// The same flock discipline as the artifact store; the store.flock fault
-// site keeps covering the degraded-to-lockless path for both files.
-
-class ScopedFileLock {
- public:
-  ScopedFileLock(int fd, int op) : fd_(fd) {
-    if (FaultHit(fault_sites::kStoreFlock)) {
-      fd_ = -1;
-      return;
-    }
-    while (flock(fd_, op) != 0 && errno == EINTR) {
-    }
-  }
-  ~ScopedFileLock() {
-    if (fd_ < 0) return;
-    while (flock(fd_, LOCK_UN) != 0 && errno == EINTR) {
-    }
-  }
-  ScopedFileLock(const ScopedFileLock&) = delete;
-  ScopedFileLock& operator=(const ScopedFileLock&) = delete;
-
- private:
-  int fd_;
-};
-
-Result<uint64_t> FileSize(int fd) {
-  struct stat st;
-  if (fstat(fd, &st) != 0) {
-    return Status::IoError(std::string("fstat failed: ") +
-                           std::strerror(errno));
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
-Status ReadExact(int fd, uint64_t offset, size_t size, uint8_t* out) {
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = pread(fd, out + done, size - done,
-                            static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("pread failed: ") +
-                             std::strerror(errno));
-    }
-    if (n == 0) return Status::IoError("unexpected end of journal file");
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status WriteExact(int fd, uint64_t offset, const std::string& bytes) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = pwrite(fd, bytes.data() + done, bytes.size() - done,
-                             static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("pwrite failed: ") +
-                             std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
+constexpr RecordLogFormat kJournalFormat = {
+    "job journal", 0x314C4E524A534344ull, JobJournal::kFormatVersion,
+    JobJournal::kDoneRecord};
 
 Status JournalTruncated(const char* what) {
   return Status::InvalidArgument(std::string("journal ") + what +
@@ -227,11 +25,6 @@ Status JournalTruncated(const char* what) {
 }
 
 // ---- record payloads -------------------------------------------------------
-
-Result<MiningRequest> DecodeRequestTail(std::span<const uint8_t> bytes,
-                                        size_t cursor) {
-  return JobJournal::DecodeRequest(bytes.subspan(cursor));
-}
 
 std::string SerializeAdmitted(const JournalAdmittedRecord& record) {
   std::string out;
@@ -250,7 +43,8 @@ Result<JournalAdmittedRecord> ParseAdmitted(std::span<const uint8_t> bytes) {
       !ReadU64(bytes, &cursor, &record.admission_index)) {
     return JournalTruncated("admitted");
   }
-  DCS_ASSIGN_OR_RETURN(record.request, DecodeRequestTail(bytes, cursor));
+  DCS_ASSIGN_OR_RETURN(record.request,
+                       JobJournal::DecodeRequest(bytes.subspan(cursor)));
   return record;
 }
 
@@ -509,10 +303,11 @@ uint64_t JobJournal::ResponseFingerprint(const MiningResponse& response) {
   return PageChecksum(content.data(), content.size());
 }
 
-// ---- open / scan -----------------------------------------------------------
+// ---- open / append ---------------------------------------------------------
 
-JobJournal::JobJournal(std::string path, JobJournalOptions options, int fd)
-    : path_(std::move(path)), options_(options), fd_(fd) {
+JobJournal::JobJournal(std::string path, JobJournalOptions options,
+                       RecordLog log)
+    : path_(std::move(path)), options_(options), log_(std::move(log)) {
   if (options_.durability == JournalDurability::kGroupCommit) {
     flusher_ = std::thread(&JobJournal::FlusherLoop, this);
   }
@@ -520,20 +315,15 @@ JobJournal::JobJournal(std::string path, JobJournalOptions options, int fd)
 
 Result<std::shared_ptr<JobJournal>> JobJournal::Open(
     std::string path, JobJournalOptions options) {
-  const int flags = options.create_if_missing ? (O_RDWR | O_CREAT) : O_RDWR;
-  const int fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    const std::string reason = std::strerror(errno);
-    if (errno == ENOENT) {
-      return Status::NotFound("job journal " + path + ": " + reason);
-    }
-    return Status::IoError("cannot open job journal " + path + ": " + reason);
-  }
+  DCS_ASSIGN_OR_RETURN(
+      RecordLog log,
+      RecordLog::Open(path, kJournalFormat, options.create_if_missing));
   auto journal = std::shared_ptr<JobJournal>(
-      new JobJournal(std::move(path), options, fd));
-  {
-    std::lock_guard<std::mutex> lock(journal->mutex_);
-    journal->ScanLocked();
+      new JobJournal(std::move(path), options, std::move(log)));
+  std::lock_guard<std::mutex> lock(journal->mutex_);
+  journal->frames_ = journal->log_.Scan();
+  for (const RecordFrame& frame : journal->frames_) {
+    ++journal->records_by_type_[frame.type];
   }
   return journal;
 }
@@ -546,122 +336,7 @@ JobJournal::~JobJournal() {
   flusher_cv_.notify_all();
   if (flusher_.joinable()) flusher_.join();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ >= 0) {
-    if (dirty_) (void)SyncLocked();  // final group-commit flush
-    ::close(fd_);
-  }
-  fd_ = -1;
-}
-
-void JobJournal::ScanLocked() {
-  frames_.clear();
-  admitted_records_ = started_records_ = done_records_ = 0;
-  ScopedFileLock file_lock(fd_, LOCK_SH);
-  Result<uint64_t> size = FileSize(fd_);
-  if (!size.ok()) {
-    reliable_end_ = 0;
-    tail_unreliable_ = true;
-    return;
-  }
-  if (*size == 0) {
-    // Brand-new file: the first append writes the superblock.
-    reliable_end_ = 0;
-    tail_unreliable_ = true;
-    return;
-  }
-
-  // Structural walk only — superblock plus the page-header chain. Payload
-  // checksums are verified where the bytes are used: Replay and Fsck.
-  uint8_t superblock[kSuperblockBytes];
-  uint32_t version = 0;
-  if (!ReadExact(fd_, 0, kSuperblockBytes, superblock).ok() ||
-      !ValidSuperblock(std::span<const uint8_t>(superblock, kSuperblockBytes),
-                       &version)) {
-    reliable_end_ = 0;
-    tail_unreliable_ = true;
-    ++corrupt_pages_;
-    return;
-  }
-
-  uint64_t cursor = kSuperblockBytes;
-  reliable_end_ = cursor;
-  tail_unreliable_ = false;
-  while (cursor < *size) {
-    const uint64_t record_offset = cursor;
-    uint8_t header_bytes[kPageHeaderBytes];
-    PageHeader header;
-    size_t header_cursor = 0;
-    if (*size - cursor < kPageHeaderBytes ||
-        !ReadExact(fd_, cursor, kPageHeaderBytes, header_bytes).ok() ||
-        !ParsePageHeader(
-            std::span<const uint8_t>(header_bytes, kPageHeaderBytes),
-            &header_cursor, &header) ||
-        header.payload_bytes > *size - cursor - kPageHeaderBytes) {
-      // A torn append or header garbage: everything from here on is
-      // unreachable. Stop indexing; the next append (or the recovery path's
-      // TruncateUnreliableTail) truncates.
-      ++corrupt_pages_;
-      tail_unreliable_ = true;
-      break;
-    }
-    cursor += kPageHeaderBytes + header.payload_bytes;
-    FrameInfo frame;
-    frame.offset = record_offset;
-    frame.payload_bytes = header.payload_bytes;
-    frame.type = header.type;
-    frame.job_id = header.job_id;
-    frames_.push_back(frame);
-    switch (header.type) {
-      case kAdmittedRecord:
-        ++admitted_records_;
-        break;
-      case kStartedRecord:
-        ++started_records_;
-        break;
-      default:
-        ++done_records_;
-    }
-    reliable_end_ = cursor;
-  }
-}
-
-// ---- append path -----------------------------------------------------------
-
-Status JobJournal::ResetFileLocked() {
-  if (ftruncate(fd_, 0) != 0) {
-    return Status::IoError(std::string("ftruncate failed: ") +
-                           std::strerror(errno));
-  }
-  DCS_RETURN_NOT_OK(WriteExact(fd_, 0, SerializeSuperblock()));
-  frames_.clear();
-  admitted_records_ = started_records_ = done_records_ = 0;
-  reliable_end_ = kSuperblockBytes;
-  tail_unreliable_ = false;
-  return Status::OK();
-}
-
-Status JobJournal::TruncateTailLocked() {
-  // Untrusted superblock (reliable_end_ == 0) rebuilds the whole file; a
-  // corrupt tail is truncated back to the last valid record.
-  if (reliable_end_ < kSuperblockBytes) {
-    Result<uint64_t> size = FileSize(fd_);
-    if (size.ok() && *size > 0) {
-      ++truncations_;
-      truncated_tail_bytes_ += *size;
-    }
-    return ResetFileLocked();
-  }
-  Result<uint64_t> size = FileSize(fd_);
-  if (size.ok() && *size > reliable_end_) {
-    ++truncations_;
-    truncated_tail_bytes_ += *size - reliable_end_;
-  }
-  if (ftruncate(fd_, static_cast<off_t>(reliable_end_)) != 0) {
-    return Status::IoError(std::string("ftruncate failed: ") +
-                           std::strerror(errno));
-  }
-  tail_unreliable_ = false;
-  return Status::OK();
+  if (dirty_) (void)SyncLocked();  // final group-commit flush
 }
 
 Status JobJournal::SyncLocked() {
@@ -672,68 +347,21 @@ Status JobJournal::SyncLocked() {
   if (FaultHit(fault_sites::kJournalFsync)) {
     return FaultInjection::InjectedError(fault_sites::kJournalFsync);
   }
-  if (fsync(fd_) != 0) {
-    return Status::IoError(std::string("fsync failed: ") +
-                           std::strerror(errno));
-  }
+  DCS_RETURN_NOT_OK(log_.Sync());
   ++fsyncs_;
   return Status::OK();
 }
 
 Status JobJournal::AppendLocked(uint32_t type, uint64_t job_id,
                                 const std::string& payload) {
-  if (fd_ < 0) return Status::IoError("job journal is closed");
-  ScopedFileLock file_lock(fd_, LOCK_EX);
-  if (tail_unreliable_) {
-    DCS_RETURN_NOT_OK(TruncateTailLocked());
-  }
-  // Another process may have appended since our scan; never overwrite its
-  // records — append at the true end of file.
-  DCS_ASSIGN_OR_RETURN(uint64_t end, FileSize(fd_));
-  const uint64_t write_offset = std::max(end, reliable_end_);
-  std::string frame = SerializePageHeader(type, job_id, payload);
-  frame += payload;
-  // Transient write failures — and the journal.append fault site — retry
-  // with deterministic exponential backoff before surfacing. The pwrite
-  // targets fixed offsets, so a retry over a partial write is idempotent.
-  Status wrote;
-  for (uint32_t attempt = 0;; ++attempt) {
-    wrote = FaultHit(fault_sites::kJournalAppend)
-                ? FaultInjection::InjectedError(fault_sites::kJournalAppend)
-                : WriteExact(fd_, write_offset, frame);
-    if (wrote.ok() || !wrote.IsIoError() ||
-        attempt >= options_.max_io_retries) {
-      break;
-    }
-    ++io_retries_;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        options_.retry_backoff_ms * static_cast<double>(1u << attempt)));
-  }
-  DCS_RETURN_NOT_OK(wrote);
-  FrameInfo info;
-  info.offset = write_offset;
-  info.payload_bytes = payload.size();
-  info.type = type;
-  info.job_id = job_id;
-  frames_.push_back(info);
-  switch (type) {
-    case kAdmittedRecord:
-      ++admitted_records_;
-      break;
-    case kStartedRecord:
-      ++started_records_;
-      break;
-    default:
-      ++done_records_;
-  }
-  reliable_end_ = write_offset + frame.size();
-  ++appended_records_;
-  if (options_.durability == JournalDurability::kAlways) {
-    DCS_RETURN_NOT_OK(SyncLocked());
-  } else {
-    dirty_ = true;
-    flusher_cv_.notify_one();
-  }
+  DCS_ASSIGN_OR_RETURN(
+      RecordFrame frame,
+      log_.Append(type, job_id, payload, fault_sites::kJournalAppend));
+  frames_.push_back(frame);
+  ++records_by_type_[type];
+  if (options_.durability == JournalDurability::kAlways) return SyncLocked();
+  dirty_ = true;
+  flusher_cv_.notify_one();
   return Status::OK();
 }
 
@@ -769,40 +397,25 @@ Status JobJournal::AppendDone(const JournalDoneRecord& record) {
 
 Result<std::vector<JournalReplayJob>> JobJournal::Replay() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return Status::IoError("job journal is closed");
-  ScopedFileLock file_lock(fd_, LOCK_SH);
+  ScopedFileLock file_lock = log_.SharedLock();
 
   std::unordered_map<uint64_t, size_t> by_job;  // job id -> out index
   std::vector<JournalReplayJob> out;
-  for (const FrameInfo& frame : frames_) {
-    std::vector<uint8_t> bytes(kPageHeaderBytes +
-                               static_cast<size_t>(frame.payload_bytes));
-    PageHeader header;
-    size_t cursor = 0;
+  for (const RecordFrame& frame : frames_) {
     // Content verification happens here, where the bytes are used: the
     // structural scan trusted nothing but framing. The journal.replay
     // fault site models a record rotting between scan and replay (fail)
-    // or the process dying mid-replay (crash).
-    if (FaultHit(fault_sites::kJournalReplay) ||
-        !ReadExact(fd_, frame.offset, bytes.size(), bytes.data()).ok() ||
-        !ParsePageHeader(bytes, &cursor, &header) ||
-        header.type != frame.type || header.job_id != frame.job_id ||
-        header.payload_bytes != frame.payload_bytes ||
-        PageChecksum(bytes.data() + kPageHeaderBytes,
-                     static_cast<size_t>(frame.payload_bytes)) !=
-            header.checksum) {
-      // A rotted record reads as absent; later records are still framed
-      // independently, so the walk continues.
-      ++corrupt_pages_;
-      continue;
-    }
-    const std::span<const uint8_t> payload =
-        std::span<const uint8_t>(bytes).subspan(kPageHeaderBytes);
+    // or the process dying mid-replay (crash); it is never retried. A
+    // rotted record reads as absent (counted by the log); later records
+    // are still framed independently, so the walk continues.
+    const Result<std::vector<uint8_t>> payload =
+        log_.ReadFrame(frame, fault_sites::kJournalReplay, 0);
+    if (!payload.ok()) continue;
     switch (frame.type) {
       case kAdmittedRecord: {
-        Result<JournalAdmittedRecord> admitted = ParseAdmitted(payload);
-        if (!admitted.ok() || admitted->job_id != frame.job_id) {
-          ++corrupt_pages_;
+        Result<JournalAdmittedRecord> admitted = ParseAdmitted(*payload);
+        if (!admitted.ok() || admitted->job_id != frame.key) {
+          log_.CountCorruptPage();
           break;
         }
         if (by_job.count(admitted->job_id) != 0) break;  // first wins
@@ -815,9 +428,9 @@ Result<std::vector<JournalReplayJob>> JobJournal::Replay() {
       case kStartedRecord: {
         uint64_t job_id = 0;
         size_t payload_cursor = 0;
-        if (!ReadU64(payload, &payload_cursor, &job_id) ||
-            payload_cursor != payload.size() || job_id != frame.job_id) {
-          ++corrupt_pages_;
+        if (!ReadU64(*payload, &payload_cursor, &job_id) ||
+            payload_cursor != payload->size() || job_id != frame.key) {
+          log_.CountCorruptPage();
           break;
         }
         const auto it = by_job.find(job_id);
@@ -825,9 +438,9 @@ Result<std::vector<JournalReplayJob>> JobJournal::Replay() {
         break;
       }
       default: {
-        Result<JournalDoneRecord> done = ParseDone(payload);
-        if (!done.ok() || done->job_id != frame.job_id) {
-          ++corrupt_pages_;
+        Result<JournalDoneRecord> done = ParseDone(*payload);
+        if (!done.ok() || done->job_id != frame.key) {
+          log_.CountCorruptPage();
           break;
         }
         const auto it = by_job.find(done->job_id);
@@ -854,15 +467,11 @@ Result<std::vector<JournalReplayJob>> JobJournal::Replay() {
 
 Status JobJournal::TruncateUnreliableTail() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return Status::IoError("job journal is closed");
-  if (!tail_unreliable_) return Status::OK();
-  ScopedFileLock file_lock(fd_, LOCK_EX);
-  return TruncateTailLocked();
+  return log_.TruncateUnreliableTail();
 }
 
 Status JobJournal::Flush() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return Status::IoError("job journal is closed");
   if (!dirty_) return Status::OK();
   return SyncLocked();
 }
@@ -872,19 +481,17 @@ Status JobJournal::Flush() {
 JobJournalStats JobJournal::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   JobJournalStats stats;
-  stats.admitted_records = admitted_records_;
-  stats.started_records = started_records_;
-  stats.done_records = done_records_;
-  stats.appended_records = appended_records_;
+  const RecordLogCounters& log = log_.counters();
+  stats.admitted_records = records_by_type_[kAdmittedRecord];
+  stats.started_records = records_by_type_[kStartedRecord];
+  stats.done_records = records_by_type_[kDoneRecord];
+  stats.appended_records = log.appended_records;
   stats.fsyncs = fsyncs_;
-  stats.corrupt_pages = corrupt_pages_;
-  stats.truncations = truncations_;
-  stats.truncated_tail_bytes = truncated_tail_bytes_;
-  stats.io_retries = io_retries_;
-  if (fd_ >= 0) {
-    Result<uint64_t> size = FileSize(fd_);
-    if (size.ok()) stats.file_bytes = *size;
-  }
+  stats.corrupt_pages = log.corrupt_pages;
+  stats.truncations = log.truncations;
+  stats.truncated_tail_bytes = log.truncated_tail_bytes;
+  stats.io_retries = log.io_retries;
+  stats.file_bytes = log_.FileBytes();
   return stats;
 }
 
@@ -892,10 +499,10 @@ std::vector<JournalRecordInfo> JobJournal::ListRecords() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<JournalRecordInfo> out;
   out.reserve(frames_.size());
-  for (const FrameInfo& frame : frames_) {
+  for (const RecordFrame& frame : frames_) {
     JournalRecordInfo info;
     info.type = frame.type;
-    info.job_id = frame.job_id;
+    info.job_id = frame.key;
     info.offset = frame.offset;
     info.payload_bytes = frame.payload_bytes;
     out.push_back(info);
@@ -915,7 +522,7 @@ void JobJournal::FlusherLoop() {
         std::chrono::duration<double, std::milli>(options_.flush_interval_ms),
         [this] { return shutdown_; });
     if (shutdown_) return;
-    if (dirty_ && fd_ >= 0) {
+    if (dirty_) {
       // A failed group-commit fsync is not silent: Flush() surfaces it on
       // demand, and kAlways exists for callers that need per-append
       // guarantees.
@@ -925,52 +532,7 @@ void JobJournal::FlusherLoop() {
 }
 
 Result<JournalFsckReport> JobJournal::Fsck(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    const std::string reason = std::strerror(errno);
-    if (errno == ENOENT) {
-      return Status::NotFound("job journal " + path + ": " + reason);
-    }
-    return Status::IoError("cannot open job journal " + path + ": " + reason);
-  }
-  JournalFsckReport report;
-  {
-    ScopedFileLock file_lock(fd, LOCK_SH);
-    Result<uint64_t> size = FileSize(fd);
-    if (!size.ok()) {
-      ::close(fd);
-      return size.status();
-    }
-    report.file_bytes = *size;
-    std::vector<uint8_t> bytes(static_cast<size_t>(*size));
-    Status read = ReadExact(fd, 0, bytes.size(), bytes.data());
-    ::close(fd);
-    if (!read.ok()) return read;
-
-    report.superblock_ok = ValidSuperblock(bytes, &report.format_version);
-    if (!report.superblock_ok) {
-      report.corrupt_pages = bytes.empty() ? 0 : 1;
-      report.unreliable_tail_bytes = bytes.size();
-      return report;
-    }
-    size_t cursor = kSuperblockBytes;
-    while (cursor < bytes.size()) {
-      PageHeader header;
-      const size_t record_offset = cursor;
-      if (!ParsePageHeader(bytes, &cursor, &header) ||
-          header.payload_bytes > bytes.size() - cursor ||
-          PageChecksum(bytes.data() + cursor,
-                       static_cast<size_t>(header.payload_bytes)) !=
-              header.checksum) {
-        ++report.corrupt_pages;
-        report.unreliable_tail_bytes = bytes.size() - record_offset;
-        break;
-      }
-      cursor += static_cast<size_t>(header.payload_bytes);
-      ++report.valid_records;
-    }
-  }
-  return report;
+  return RecordLog::Fsck(path, kJournalFormat);
 }
 
 }  // namespace dcs

@@ -12,16 +12,13 @@
 // are re-exposed through Poll/Wait without re-running (exactly-once),
 // incomplete jobs are resubmitted in their original admission order.
 //
-// On-disk format: the PR 6 page format, under its own magic. A fixed
-// 32-byte superblock (magic "DCSJRNL1", format version, endianness tag, its
-// own checksum) followed by an append-only log of record frames, each a
-// 32-byte page header (magic, record type, job id as the key, payload size,
-// util/checksum.h payload checksum) plus the payload. The file is *never*
-// trusted: Open walks the frame chain structurally and stops at the first
-// broken frame; Replay re-verifies every payload checksum and parses every
-// payload defensively, so torn tails and corrupt frames read as absent, and
-// the next append truncates the unreliable tail away. Cross-process
-// exclusion uses the same advisory flock discipline as the store.
+// On-disk format: a record log (store/record_log.h — superblock, frames,
+// trust model, flock discipline and Fsck) under the magic "DCSJRNL1", with
+// the job id as each frame's key. Replay re-verifies every payload checksum
+// and parses every payload defensively, so torn tails and corrupt frames
+// read as absent; the next append truncates an unreliable tail away. A
+// rotted frame inside the reliable prefix stays on disk (later frames are
+// still replayable behind it), and Fsck keeps reporting it.
 //
 // Durability: JournalDurability::kAlways fsyncs inside every append — an
 // acked Submit survives power loss. kGroupCommit marks the file dirty and
@@ -52,6 +49,7 @@
 #include <vector>
 
 #include "api/mining.h"
+#include "store/record_log.h"
 #include "util/status.h"
 
 namespace dcs {
@@ -62,7 +60,8 @@ enum class JournalDurability : uint8_t {
   kGroupCommit,  ///< background flusher fsyncs within flush_interval_ms
 };
 
-/// Journal-level tuning.
+/// Journal-level tuning. Transient I/O errors in an append are retried
+/// within RecordLog::kMaxIoRetries.
 struct JobJournalOptions {
   /// Create the file (with a fresh superblock) when absent. When false,
   /// opening a missing file fails with NotFound.
@@ -73,10 +72,6 @@ struct JobJournalOptions {
   JournalDurability durability = JournalDurability::kGroupCommit;
   /// Upper bound on how long a group-commit append stays un-fsynced.
   double flush_interval_ms = 5.0;
-  /// Transient-I/O retry budget per append, as in ArtifactStoreOptions.
-  uint32_t max_io_retries = 3;
-  /// Deterministic exponential backoff base between retries (ms).
-  double retry_backoff_ms = 0.5;
 };
 
 /// Journal-lifetime counters (since Open).
@@ -112,16 +107,8 @@ struct JournalRecordInfo {
   uint64_t payload_bytes = 0;
 };
 
-/// Offline integrity report, for `dcs_store journal fsck/stat`.
-struct JournalFsckReport {
-  bool superblock_ok = false;
-  uint32_t format_version = 0;
-  uint64_t valid_records = 0;
-  uint64_t corrupt_pages = 0;
-  /// Bytes past the last valid record (the tail a writer would truncate).
-  uint64_t unreliable_tail_bytes = 0;
-  uint64_t file_bytes = 0;
-};
+/// Offline integrity report, for `dcs_store journal fsck`.
+using JournalFsckReport = RecordLogFsckReport;
 
 /// The terminal state a Done record carries. Mirrors the terminal half of
 /// JobState (api/mining_service.h) without depending on it — the journal
@@ -252,26 +239,11 @@ class JobJournal {
   static uint64_t ResponseFingerprint(const MiningResponse& response);
 
  private:
-  struct FrameInfo {
-    uint64_t offset = 0;
-    uint64_t payload_bytes = 0;
-    uint32_t type = 0;
-    uint64_t job_id = 0;
-  };
+  JobJournal(std::string path, JobJournalOptions options, RecordLog log);
 
-  JobJournal(std::string path, JobJournalOptions options, int fd);
-
-  // Structural walk of the frame chain (superblock + headers, payloads
-  // untouched); fills frames_ and the reliable-end watermark. Mutex held.
-  void ScanLocked();
-  // Appends one framed record under the exclusive file lock, truncating any
-  // unreliable tail first; applies the durability policy. Mutex held.
+  // Appends one record and applies the durability policy. Mutex held.
   Status AppendLocked(uint32_t type, uint64_t job_id,
                       const std::string& payload);
-  // ftruncate away an unreliable tail (mutex and exclusive flock held).
-  Status TruncateTailLocked();
-  // Re-creates an empty, superblock-only file. Mutex held.
-  Status ResetFileLocked();
   // fsync with the journal.fsync fault site; clears dirty_. Mutex held.
   Status SyncLocked();
   // Background group-commit flusher.
@@ -281,23 +253,15 @@ class JobJournal {
   const JobJournalOptions options_;
 
   mutable std::mutex mutex_;
-  int fd_ = -1;
+  RecordLog log_;
   // Structurally valid frames in file order (the journal is a log, not a
   // directory — every frame stays reachable for Replay/ListRecords).
-  std::vector<FrameInfo> frames_;
-  uint64_t reliable_end_ = 0;
-  bool tail_unreliable_ = false;
+  std::vector<RecordFrame> frames_;
   bool dirty_ = false;  // written but not yet fsynced (group commit)
-  // Stats (mutex-guarded).
-  uint64_t admitted_records_ = 0;
-  uint64_t started_records_ = 0;
-  uint64_t done_records_ = 0;
-  uint64_t appended_records_ = 0;
+  // Stats (mutex-guarded) the log does not keep: frames_ by record type,
+  // and durability fsyncs.
+  uint64_t records_by_type_[kDoneRecord + 1] = {};
   uint64_t fsyncs_ = 0;
-  uint64_t corrupt_pages_ = 0;
-  uint64_t truncations_ = 0;
-  uint64_t truncated_tail_bytes_ = 0;
-  uint64_t io_retries_ = 0;
 
   // Group-commit flusher.
   std::condition_variable flusher_cv_;

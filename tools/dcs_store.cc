@@ -84,12 +84,15 @@ int RunStat(const std::string& path) {
   return 0;
 }
 
-int RunFsck(const std::string& path, bool quiet) {
-  Result<ArtifactFsckReport> report = ArtifactStore::Fsck(path);
+// The one fsck printer: the store and the journal share the record-log
+// report (ArtifactFsckReport and JournalFsckReport are the same type).
+int RunFsck(const Result<ArtifactFsckReport>& report, bool quiet) {
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
   }
+  // An unreliable tail always comes with a corrupt page or a bad
+  // superblock, so it needs no clause of its own.
   const bool clean = report->superblock_ok && report->corrupt_pages == 0;
   if (quiet) return clean ? 0 : 1;
   std::printf("superblock:            %s\n",
@@ -105,8 +108,9 @@ int RunFsck(const std::string& path, bool quiet) {
               static_cast<unsigned long long>(report->unreliable_tail_bytes));
   std::printf("file bytes:            %llu\n",
               static_cast<unsigned long long>(report->file_bytes));
-  std::printf("%s\n", clean ? "clean" : "NOT CLEAN (a writer would "
-                                        "truncate or rebuild this store)");
+  std::printf("%s\n", clean ? "clean"
+                            : "NOT CLEAN (a writer would truncate the "
+                              "unreliable tail or rebuild the file)");
   return clean ? 0 : 1;
 }
 
@@ -167,37 +171,6 @@ const char* JournalRecordTypeName(uint32_t type) {
   }
 }
 
-int RunJournalFsck(const std::string& path, bool quiet) {
-  Result<JournalFsckReport> report = JobJournal::Fsck(path);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
-  }
-  // A journal with an unreliable tail is not corrupt in the scary sense —
-  // the next writer truncates it — but a scripted health check wants to
-  // know the last append never became durable, so it counts as not clean.
-  const bool clean = report->superblock_ok && report->corrupt_pages == 0 &&
-                     report->unreliable_tail_bytes == 0;
-  if (quiet) return clean ? 0 : 1;
-  std::printf("superblock:            %s\n",
-              report->superblock_ok ? "ok" : "INVALID");
-  if (report->superblock_ok) {
-    std::printf("format version:        %u\n", report->format_version);
-  }
-  std::printf("valid records:         %llu\n",
-              static_cast<unsigned long long>(report->valid_records));
-  std::printf("corrupt pages:         %llu\n",
-              static_cast<unsigned long long>(report->corrupt_pages));
-  std::printf("unreliable tail bytes: %llu\n",
-              static_cast<unsigned long long>(report->unreliable_tail_bytes));
-  std::printf("file bytes:            %llu\n",
-              static_cast<unsigned long long>(report->file_bytes));
-  std::printf("%s\n", clean ? "clean"
-                            : "NOT CLEAN (a writer would truncate the "
-                              "unreliable tail / skip corrupt frames)");
-  return clean ? 0 : 1;
-}
-
 int RunJournalLs(const std::string& path) {
   Result<std::shared_ptr<JobJournal>> journal = OpenExistingJournal(path);
   if (!journal.ok()) {
@@ -246,11 +219,11 @@ int main(int argc, char** argv) {
   }
   if (journal) {
     if (command == "stat") return RunJournalStat(path);
-    if (command == "fsck") return RunJournalFsck(path, quiet);
+    if (command == "fsck") return RunFsck(JobJournal::Fsck(path), quiet);
     if (command == "ls") return RunJournalLs(path);
   } else {
     if (command == "stat") return RunStat(path);
-    if (command == "fsck") return RunFsck(path, quiet);
+    if (command == "fsck") return RunFsck(ArtifactStore::Fsck(path), quiet);
     if (command == "ls") return RunLs(path);
   }
   std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());

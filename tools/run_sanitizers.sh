@@ -3,16 +3,18 @@
 #
 # Builds the tree twice — `-DDCS_SANITIZE=address` and `=thread` — in
 # dedicated build directories (so the instrumented objects never pollute the
-# default ./build) and runs the `unit`, `chaos` and `crash` ctest labels
-# under each. One command, fail-fast per step:
+# default ./build) and runs the `unit`, `chaos`, `crash` and `stress` ctest
+# labels under each. One command, fail-fast per step:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
 #   tools/run_sanitizers.sh address    # just one
 #   tools/run_sanitizers.sh thread
+#   tools/run_sanitizers.sh address thread undefined
 #
 # The crash label fork/execs the journaled worker and kills it mid-append;
 # running it instrumented is the point — a recovery-path data race or a
-# use-after-free in the journal teardown shows up here first.
+# use-after-free in the journal teardown shows up here first. The stress
+# label drives many store handles through one file's flock/append path.
 #
 # Env knobs: JOBS (parallel build/test width, default nproc),
 # BUILD_ROOT (where build-<sanitizer> dirs go, default the repo root).
@@ -38,7 +40,7 @@ for sanitizer in "${sanitizers[@]}"; do
   esac
 done
 
-labels='unit|chaos|crash'
+labels='unit|chaos|crash|stress'
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="$build_root/build-$sanitizer"
   echo "== [$sanitizer] configure -> $build_dir"
