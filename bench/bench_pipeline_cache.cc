@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
           RunSessions(dataset.g1, dataset.g2, sessions, /*shared=*/true);
 
       // The cross-session determinism guarantee, enforced on every run:
-      // shared-cache responses match the private ones bit for bit.
+      // responses over the shared cache match the private ones bit for bit.
       const bool identical = private_run.serialized == shared_run.serialized;
       DCS_CHECK(identical) << dataset.label << " diverged at " << sessions
                            << " sessions";

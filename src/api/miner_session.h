@@ -14,24 +14,22 @@
 // shared cache was supplied (SessionOptions::pipeline_cache), otherwise it
 // holds a shared_ptr co-owning the cache with the other attached sessions.
 //
-// Thread safety: single-threaded by design except for MineAll's internal
-// worker pool — one session per serving thread is the intended deployment
-// shape, with api/mining_service.h as the queueing layer when callers are
-// concurrent. A *shared PipelineCache* is the one deliberately concurrent
+// Thread safety: single-threaded by design — one session per serving thread
+// is the intended deployment shape, with api/mining_service.h as the
+// queueing layer when callers are concurrent. A *shared PipelineCache* is the one deliberately concurrent
 // seam: any number of sessions on any threads may attach to one cache.
 //
 // Determinism: responses are pure functions of the session's graphs and the
-// request (given warm_start off); neither the thread count, nor batching
-// through MineAll, nor serving pipelines from a shared cache changes a
-// mined subgraph bit — only the wall-time and cache-counter telemetry vary.
+// request (given warm_start off); neither the thread count nor serving
+// pipelines from a shared cache changes a mined subgraph bit — only the
+// wall-time and cache-counter telemetry vary.
 //
-// Scale path: the session owns one shared ThreadPool (util/thread_pool.h).
-// MineAll runs independent requests on it against the pipeline cache, and a
-// single request's NewSEA solve can additionally shard its seed loop across
-// the same pool (intra-request parallelism, bit-identical to sequential —
-// see core/newsea.h). MineAll splits the pool budget between the two
-// levels. Cross-session, a shared PipelineCache makes N sessions over the
-// same dataset pay the pipeline-preparation prefix once.
+// Scale path: a single request's NewSEA solve can shard its seed loop
+// across the session's worker pool (intra-request parallelism,
+// bit-identical to sequential — see core/newsea.h). Independent requests
+// run concurrently through api/mining_service.h, whose executors share one
+// pool and one PipelineCache; a shared PipelineCache makes N sessions over
+// the same dataset pay the pipeline-preparation prefix once.
 //
 // Streaming path: a small ApplyUpdate batch is folded in O(Δ) — base
 // graphs through a CSR overlay (graph/csr_patcher.h), the fingerprint
@@ -91,16 +89,14 @@ struct SessionOptions {
   /// the threshold reads as kDegraded. 0 disables the ladder (the session
   /// never detaches, staying at most kDegraded).
   uint32_t store_failure_threshold = 4;
-  /// Total thread budget of the session's shared worker pool; 0 =
-  /// std::thread::hardware_concurrency(). MineAll splits it between
-  /// concurrent requests (inter) and each request's NewSEA seed shards
-  /// (intra, granted to requests whose ga_solver.parallelism is 0 = auto);
-  /// Mine grants the whole budget to its one request. The pool is spawned
-  /// lazily on the first batched or intra-parallel solve.
+  /// Total thread budget of the session's worker pool; 0 =
+  /// std::thread::hardware_concurrency(). Mine grants the whole budget to
+  /// requests whose ga_solver.parallelism is 0 (auto). The pool is spawned
+  /// lazily on the first intra-parallel solve.
   uint32_t max_parallelism = 0;
   /// Cross-session shared worker pool. Null (default) keeps the session's
   /// private, lazily spawned pool — single-session behavior exactly.
-  /// Non-null makes every batched or intra-parallel solve run on the shared
+  /// Non-null makes every intra-parallel solve run on the shared
   /// pool instead: the multi-tenant MiningService attaches one pool to all
   /// of its tenant sessions, so N tenants contend for one fixed set of
   /// worker threads rather than spawning N private pools. max_parallelism
@@ -187,19 +183,6 @@ class MinerSession {
   Result<MiningResponse> Mine(const MiningRequest& request,
                               const CancelToken* cancel);
 
-  /// \brief Executes independent requests on a worker pool, reusing the
-  /// pipeline cache across them.
-  ///
-  /// Responses are positionally aligned with `requests`; the first failing
-  /// request's status (in index order) is returned on error. For requests
-  /// with warm_start off (the default) the responses are — apart from the
-  /// telemetry wall-times — bit-identical to mining the same requests
-  /// sequentially with Mine(). Warm-start seeds are frozen at batch entry,
-  /// so a warm_start request sees the seed from before the batch rather
-  /// than one evolved by earlier requests in it.
-  Result<std::vector<MiningResponse>> MineAll(
-      std::span<const MiningRequest> requests);
-
   /// \brief Copy of the difference graph D = A2 − α·A1 (swapped when
   /// `flip`), without discretize/clamp — for inspection and export. Shares
   /// the pipeline cache with Mine.
@@ -247,7 +230,7 @@ class MinerSession {
   /// SessionOptions::artifact_store.
   void UseArtifactStore(std::shared_ptr<ArtifactStore> store);
 
-  /// \brief Runs all subsequent batched / intra-parallel solves on the
+  /// \brief Runs all subsequent intra-parallel solves on the
   /// shared pool `pool` (non-null) instead of the session's private pool.
   /// Used by the multi-tenant MiningService so tenant sessions share one
   /// fixed worker set; see SessionOptions::worker_pool.
@@ -268,13 +251,13 @@ class MinerSession {
   /// \brief Re-evaluates the degradation ladder against the attached
   /// store's failure counters and returns the (possibly advanced) state —
   /// detaching the store when the failure count crossed
-  /// SessionOptions::store_failure_threshold. Every Mine/MineAll runs this
+  /// SessionOptions::store_failure_threshold. Every Mine runs this
   /// on entry; callers that just flushed a store can invoke it directly to
   /// observe the transition without mining.
   HealthState RefreshHealth();
 
   /// Current position on the degradation ladder (as of the last
-  /// RefreshHealth / Mine / MineAll).
+  /// RefreshHealth / Mine).
   HealthState health() const { return health_; }
   /// Ladder transitions over the session's lifetime.
   uint64_t num_health_transitions() const { return health_transitions_; }
@@ -380,22 +363,20 @@ class MinerSession {
   // pipeline preparation can skip the DCSGA artifacts.
   static bool AverageDegreeOnly(const MiningRequest& request);
 
-  // The session's total thread budget (max_parallelism, hardware-resolved).
+  // The session's thread budget (max_parallelism, hardware-resolved).
   size_t ParallelismBudget() const;
 
-  // Lazily spawns (or grows) the shared pool to `concurrency` slots, capped
+  // Lazily spawns (or grows) the private pool to `concurrency` slots, capped
   // at ParallelismBudget(); the calling thread is one of the slots, so the
   // pool gets concurrency - 1 workers. Never shrinks an existing pool.
   ThreadPool* EnsurePool(size_t concurrency);
 
-  // Runs the solvers for one prepared request. Const w.r.t. session state so
-  // MineAll can call it from worker threads; warm seeds, the shared pool,
-  // the intra-request worker budget and the (nullable) cancellation token
+  // Runs the solvers for one prepared request with the session's thread
+  // budget; the warm seed, the pool and the (nullable) cancellation token
   // are passed in.
   Status Solve(const PreparedPipeline& pipeline, const MiningRequest& request,
                std::span<const VertexId> warm_support, ThreadPool* pool,
-               uint32_t parallelism_budget, const CancelToken* cancel,
-               MiningResponse* response) const;
+               const CancelToken* cancel, MiningResponse* response) const;
 
   // Copies the cache's hit/miss/bytes counters (and the other lifetime
   // counters) into `telemetry`; called last, so they read *after* the
@@ -440,8 +421,8 @@ class MinerSession {
   uint64_t graph_fingerprint_ = 0;
   uint64_t g1_accumulator_ = 0;
   uint64_t g2_accumulator_ = 0;
-  // Shared worker pool for MineAll batches and intra-request NewSEA seed
-  // sharding; created lazily by EnsurePool.
+  // Private worker pool for intra-request NewSEA seed sharding; created
+  // lazily by EnsurePool.
   std::unique_ptr<ThreadPool> pool_;
   uint64_t num_updates_ = 0;
   uint64_t num_rebuilds_ = 0;

@@ -125,8 +125,8 @@ struct MiningRequest {
   // --- solver knobs ---
   /// Inner DCSGA solver configuration (shrink kind, descent tolerances, and
   /// the intra-request `parallelism` knob: 1 = sequential, 0 = auto — take
-  /// whatever share of the session's thread budget MineAll/Mine grants —
-  /// k > 1 = exactly k seed shards, capped by the session pool). Mined
+  /// the session's whole thread budget — k > 1 = exactly k seed shards,
+  /// capped by the session pool). Mined
   /// subgraphs are bit-identical across all parallelism values; only the
   /// work-counter telemetry varies. The builtin "dcsga" solver honors the
   /// knob for top_k == 1 solves; the top-k clique harvest runs sequentially
@@ -134,8 +134,8 @@ struct MiningRequest {
   DcsgaOptions ga_solver;
   /// Seed the DCSGA solve from the session's previous solution (streaming
   /// drift tracking). Off by default so that requests are pure functions of
-  /// the session's graphs — the precondition for batched MineAll to equal
-  /// sequential mining bit-for-bit.
+  /// the session's graphs — the precondition for the response memo and for
+  /// concurrent service jobs to equal sequential mining bit-for-bit.
   bool warm_start = false;
 
   /// Scheduling priority of the job under a multi-tenant MiningService

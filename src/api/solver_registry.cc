@@ -69,16 +69,16 @@ Result<std::vector<RankedSubgraph>> SolveDcsgaBuiltin(
   std::vector<RankedSubgraph> out;
 
   // Resolve the session-granted knobs into the solver options: "auto"
-  // parallelism (0) becomes the budget MineAll/Mine split off the pool, and
-  // the per-solve non-negativity scan is skipped once the session has
-  // validated the cached pipeline's GD+.
+  // parallelism (0) becomes the session's thread budget, and the per-solve
+  // non-negativity scan is skipped once the session has validated the
+  // cached pipeline's GD+.
   DcsgaOptions solver_options = request.ga_solver;
   if (solver_options.parallelism == 0) {
     solver_options.parallelism = std::max(context.parallelism_budget, 1u);
   }
   solver_options.assume_nonnegative =
       solver_options.assume_nonnegative || context.positive_part_validated;
-  // The explicit per-solve token (Mine/MineAll's `cancel` argument, the
+  // The explicit per-solve token (Mine's `cancel` argument, the
   // async service's per-job token) always wins over a request-embedded
   // DcsgaOptions::cancel — otherwise an embedded token would make the
   // documented cancel argument unreachable for the seed loop. The embedded

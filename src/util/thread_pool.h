@@ -7,10 +7,9 @@
 //
 //  * total concurrency of a group is num_workers + 1, so a pool budget of P
 //    is built as ThreadPool(P - 1);
-//  * RunTasks may be called from inside a pool task (MineAll solves requests
-//    on the pool, and each request's NewSEA shards its seeds onto the same
-//    pool) without deadlock — even when every worker is busy, the nested
-//    caller drains its own group.
+//  * RunTasks may be called from inside a pool task (a task that shards its
+//    own work onto the same pool) without deadlock — even when every worker
+//    is busy, the nested caller drains its own group.
 //
 // The first exception thrown by any task of a group is captured and rethrown
 // from that group's RunTasks; remaining tasks still run to completion.

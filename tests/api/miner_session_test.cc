@@ -1,6 +1,7 @@
 // MinerSession tests: construction, AD/GA parity with the direct core
-// calls, pipeline-cache behavior, streaming invalidation, warm starts, and
-// which requests the response memo may serve.
+// calls, pipeline-cache behavior, streaming invalidation, warm starts,
+// intra-request parallelism, and which requests the response memo may
+// serve.
 
 #include "api/miner_session.h"
 
@@ -18,7 +19,9 @@
 #include "core/kernels.h"
 #include "core/newsea.h"
 #include "gen/coauthor.h"
+#include "gen/random_graphs.h"
 #include "graph/difference.h"
+#include "graph/graph_builder.h"
 #include "test_util.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
@@ -236,42 +239,108 @@ TEST(MinerSessionTest, PipelineCacheEvictsFifo) {
   EXPECT_EQ(session->num_rebuilds(), 3u);
 }
 
-TEST(MinerSessionTest, StreamingUpdatesMatchBatchSession) {
-  Graph g1 = Fig1G1();
-  Graph g2 = Fig1G2();
-  Result<MinerSession> streaming = MinerSession::CreateStreaming(5);
+// One weight update of a stream.
+struct StreamUpdate {
+  UpdateSide side;
+  VertexId u;
+  VertexId v;
+  double delta;
+};
+
+// Fig. 1 as a stream, plus a G2 pair whose updates cancel to zero before the
+// first flush and so must leave no edge behind.
+std::vector<StreamUpdate> Fig1Stream() {
+  std::vector<StreamUpdate> stream;
+  for (const Edge& e : Fig1G1().UndirectedEdges()) {
+    stream.push_back({UpdateSide::kG1, e.u, e.v, e.weight});
+  }
+  for (const Edge& e : Fig1G2().UndirectedEdges()) {
+    stream.push_back({UpdateSide::kG2, e.u, e.v, e.weight});
+  }
+  stream.push_back({UpdateSide::kG2, 1, 4, 3.0});
+  stream.push_back({UpdateSide::kG2, 1, 4, -3.0});
+  return stream;
+}
+
+// Random updates on both sides; pairs repeat, so deltas accumulate.
+std::vector<StreamUpdate> RandomStream(VertexId n, int updates) {
+  Rng rng(99);
+  std::vector<StreamUpdate> stream;
+  for (int i = 0; i < updates; ++i) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+    VertexId v = static_cast<VertexId>(rng.NextBounded(n - 1));
+    if (v >= u) ++v;
+    const double w = rng.Uniform(0.1, 3.0);
+    stream.push_back(
+        {rng.Bernoulli(0.5) ? UpdateSide::kG1 : UpdateSide::kG2, u, v, w});
+  }
+  return stream;
+}
+
+// Feeds `stream` to a streaming session and checks it against a batch
+// session over the same accumulated graphs: α-scaled difference snapshots,
+// lazily prepared pipelines (num_rebuilds flat across repeated queries) and
+// the mined DCSAD answer.
+void ExpectStreamMatchesBatch(VertexId n,
+                              const std::vector<StreamUpdate>& stream) {
+  Result<MinerSession> streaming = MinerSession::CreateStreaming(n);
   ASSERT_TRUE(streaming.ok());
-  for (const Edge& e : g1.UndirectedEdges()) {
+  GraphBuilder builder1(n), builder2(n);
+  for (const StreamUpdate& update : stream) {
     ASSERT_TRUE(
-        streaming->ApplyUpdate(UpdateSide::kG1, e.u, e.v, e.weight).ok());
+        streaming->ApplyUpdate(update.side, update.u, update.v, update.delta)
+            .ok());
+    GraphBuilder& builder =
+        update.side == UpdateSide::kG1 ? builder1 : builder2;
+    ASSERT_TRUE(builder.AddEdge(update.u, update.v, update.delta).ok());
   }
-  for (const Edge& e : g2.UndirectedEdges()) {
-    ASSERT_TRUE(
-        streaming->ApplyUpdate(UpdateSide::kG2, e.u, e.v, e.weight).ok());
+  Result<Graph> g1 = builder1.Build();
+  Result<Graph> g2 = builder2.Build();
+  ASSERT_TRUE(g1.ok() && g2.ok());
+
+  for (const double alpha : {1.0, 2.0}) {
+    Result<Graph> snapshot = streaming->DifferenceSnapshot(alpha);
+    Result<Graph> expected = BuildDifferenceGraph(*g1, *g2, alpha);
+    ASSERT_TRUE(snapshot.ok() && expected.ok());
+    ASSERT_EQ(snapshot->NumVertices(), expected->NumVertices());
+    ASSERT_EQ(snapshot->NumEdges(), expected->NumEdges()) << "alpha " << alpha;
+    for (const Edge& e : expected->UndirectedEdges()) {
+      EXPECT_DOUBLE_EQ(snapshot->EdgeWeight(e.u, e.v), e.weight)
+          << "alpha " << alpha;
+    }
   }
-  Result<Graph> snapshot = streaming->DifferenceSnapshot();
-  ASSERT_TRUE(snapshot.ok());
-  const Graph expected = Fig1Gd();
-  ASSERT_EQ(snapshot->NumVertices(), expected.NumVertices());
-  ASSERT_EQ(snapshot->NumEdges(), expected.NumEdges());
-  for (const Edge& e : expected.UndirectedEdges()) {
-    EXPECT_DOUBLE_EQ(snapshot->EdgeWeight(e.u, e.v), e.weight);
-  }
+  EXPECT_EQ(streaming->num_rebuilds(), 2u);
+  ASSERT_TRUE(streaming->DifferenceSnapshot(1.0).ok());
+  ASSERT_TRUE(streaming->DifferenceSnapshot(2.0).ok());
+  EXPECT_EQ(streaming->num_rebuilds(), 2u) << "snapshots must be reused";
 
   MiningRequest request;
   request.measure = Measure::kAverageDegree;
   Result<MiningResponse> streamed = streaming->Mine(request);
-  Result<MinerSession> batch = MinerSession::Create(std::move(g1),
-                                                    std::move(g2));
+  Result<MinerSession> batch =
+      MinerSession::Create(std::move(g1).value(), std::move(g2).value());
   ASSERT_TRUE(batch.ok());
   Result<MiningResponse> batched = batch->Mine(request);
   ASSERT_TRUE(streamed.ok());
   ASSERT_TRUE(batched.ok());
+  EXPECT_EQ(streaming->num_rebuilds(), 2u);
   ASSERT_EQ(streamed->average_degree.size(), batched->average_degree.size());
+  ASSERT_FALSE(streamed->average_degree.empty());
   EXPECT_EQ(streamed->average_degree[0].vertices,
             batched->average_degree[0].vertices);
-  EXPECT_DOUBLE_EQ(streamed->average_degree[0].value,
-                   batched->average_degree[0].value);
+  EXPECT_NEAR(streamed->average_degree[0].value,
+              batched->average_degree[0].value, 1e-9);
+}
+
+TEST(MinerSessionTest, StreamingUpdatesMatchBatchSession) {
+  {
+    SCOPED_TRACE("Fig. 1 stream");
+    ExpectStreamMatchesBatch(5, Fig1Stream());
+  }
+  {
+    SCOPED_TRACE("random stream");
+    ExpectStreamMatchesBatch(60, RandomStream(60, 400));
+  }
 }
 
 TEST(MinerSessionTest, ApplyUpdateRejectsBadInput) {
@@ -384,6 +453,23 @@ TEST(MinerSessionTest, WarmStartTracksAcrossUpdates) {
   EXPECT_TRUE(second->telemetry.warm_start_used);
   EXPECT_EQ(second->graph_affinity[0].vertices, planted);
 
+  // A stronger story overlapping the old one emerges; the warm-started
+  // query follows the drift.
+  const std::vector<VertexId> emerging{13, 14, 15, 16};
+  for (size_t i = 0; i < emerging.size(); ++i) {
+    for (size_t j = i + 1; j < emerging.size(); ++j) {
+      ASSERT_TRUE(session
+                      ->ApplyUpdate(UpdateSide::kG2, emerging[i],
+                                    emerging[j], 8.0)
+                      .ok());
+    }
+  }
+  Result<MiningResponse> drifted = session->Mine(request);
+  ASSERT_TRUE(drifted.ok());
+  ASSERT_EQ(drifted->graph_affinity.size(), 1u);
+  EXPECT_TRUE(drifted->telemetry.warm_start_used);
+  EXPECT_EQ(drifted->graph_affinity[0].vertices, emerging);
+
   session->ClearWarmStart();
   Result<MiningResponse> third = session->Mine(request);
   ASSERT_TRUE(third.ok());
@@ -452,6 +538,73 @@ TEST(MinerSessionTest, MemoizedResponseGivesWayToAnUpdate) {
   EXPECT_EQ(after->telemetry.initializations,
             expected->telemetry.initializations);
   EXPECT_NE(SerializeSubgraphs(*after), SerializeSubgraphs(*repeat));
+}
+
+// A substantial session input: an empty G1 against a random signed G2, so
+// the difference graph has hundreds of candidate seeds to shard.
+std::pair<Graph, Graph> RandomSessionGraphs() {
+  Rng rng(31);
+  Result<Graph> g2 = RandomSignedGraph(/*n=*/250, /*m=*/2000,
+                                       /*positive_fraction=*/0.7,
+                                       /*magnitude_lo=*/0.5,
+                                       /*magnitude_hi=*/3.0, &rng);
+  DCS_CHECK(g2.ok());
+  return {MakeGraph(250, {}), std::move(g2).value()};
+}
+
+TEST(MinerSessionTest, IntraRequestParallelismKeepsMinedSubgraphsIdentical) {
+  auto [g1, g2] = RandomSessionGraphs();
+  SessionOptions sequential_options;
+  sequential_options.max_parallelism = 1;
+  Result<MinerSession> sequential =
+      MinerSession::Create(g1, g2, sequential_options);
+  ASSERT_TRUE(sequential.ok());
+  // Auto parallelism takes the whole budget: 4 seed shards.
+  SessionOptions parallel_options;
+  parallel_options.max_parallelism = 4;
+  Result<MinerSession> parallel =
+      MinerSession::Create(g1, g2, parallel_options);
+  ASSERT_TRUE(parallel.ok());
+
+  std::vector<MiningRequest> requests(2);
+  requests[0].measure = Measure::kGraphAffinity;
+  requests[1].measure = Measure::kBoth;
+  requests[1].alpha = 2.0;
+  for (MiningRequest& request : requests) {
+    request.ga_solver.parallelism = 0;  // auto
+    Result<MiningResponse> expected = sequential->Mine(request);
+    Result<MiningResponse> actual = parallel->Mine(request);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(SerializeSubgraphs(*actual), SerializeSubgraphs(*expected))
+        << "alpha " << request.alpha;
+    EXPECT_FALSE(actual->graph_affinity.empty()) << "alpha " << request.alpha;
+  }
+}
+
+TEST(MinerSessionTest, ExplicitIntraParallelismOnSingleMine) {
+  auto [g1, g2] = RandomSessionGraphs();
+  Result<MinerSession> sequential = MinerSession::Create(g1, g2);
+  ASSERT_TRUE(sequential.ok());
+
+  SessionOptions options;
+  options.max_parallelism = 4;
+  Result<MinerSession> parallel = MinerSession::Create(g1, g2, options);
+  ASSERT_TRUE(parallel.ok());
+
+  MiningRequest request;
+  request.measure = Measure::kGraphAffinity;
+  Result<MiningResponse> expected = sequential->Mine(request);
+  ASSERT_TRUE(expected.ok());
+
+  for (const uint32_t threads : {2u, 4u, 7u}) {
+    MiningRequest parallel_request = request;
+    parallel_request.ga_solver.parallelism = threads;
+    Result<MiningResponse> actual = parallel->Mine(parallel_request);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(SerializeSubgraphs(*actual), SerializeSubgraphs(*expected))
+        << threads << " threads";
+  }
 }
 
 std::atomic<int> g_counting_solver_runs{0};

@@ -325,37 +325,6 @@ TEST(PipelineCacheTest, TelemetryCountsHitsMissesAndUpgrades) {
   EXPECT_EQ(SerializeSubgraphs(*fourth), SerializeSubgraphs(*third));
 }
 
-TEST(PipelineCacheTest, MineAllRunsOverTheSharedCache) {
-  const CoauthorData data = PlantedCoauthor();
-  auto cache = std::make_shared<PipelineCache>();
-
-  // Session A prepares two pipelines; session B's MineAll batch over the
-  // same keys is then served entirely from the shared cache.
-  std::vector<MiningRequest> requests(4);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    requests[i].measure = Measure::kGraphAffinity;
-    requests[i].alpha = i % 2 == 0 ? 1.0 : 2.0;
-  }
-  Result<MinerSession> a =
-      MinerSession::Create(data.g1, data.g2, WithCache(cache));
-  ASSERT_TRUE(a.ok());
-  Result<std::vector<MiningResponse>> warmup = a->MineAll(requests);
-  ASSERT_TRUE(warmup.ok());
-  EXPECT_EQ(a->num_rebuilds(), 2u);
-
-  Result<MinerSession> b =
-      MinerSession::Create(data.g1, data.g2, WithCache(cache));
-  ASSERT_TRUE(b.ok());
-  Result<std::vector<MiningResponse>> batched = b->MineAll(requests);
-  ASSERT_TRUE(batched.ok());
-  EXPECT_EQ(b->num_rebuilds(), 0u);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    EXPECT_TRUE((*batched)[i].telemetry.reused_cached_difference);
-    EXPECT_EQ(SerializeSubgraphs((*batched)[i]),
-              SerializeSubgraphs((*warmup)[i]));
-  }
-}
-
 TEST(PipelineCacheTest, MiningServiceSharedCacheOptionAttaches) {
   const CoauthorData data = PlantedCoauthor();
   MiningRequest request;

@@ -4,7 +4,9 @@
 # Mines a tiny edge-list pair with `dcs_mine --store --journal` to produce a
 # real artifact store and job journal, then pins the dcs_store exit-code
 # contract: 0 for fsck / journal fsck / stat / ls on the fresh files, 1 for
-# fsck once one payload byte is flipped, 2 on bad usage.
+# fsck once one payload byte is flipped, 2 on bad usage. Also pins the
+# dcs_mine usage paths: a missing value, an unknown flag and an invalid
+# number all exit 2.
 #
 # Usage: dcs_store_cli_test.sh <dcs_mine> <dcs_store> <work-dir>
 
@@ -65,6 +67,32 @@ expect 0 journal fsck "$journal"
 expect 0 journal stat "$journal"
 expect 0 journal ls "$journal"
 
+# expect_mine <exit code> <stderr substring or ""> <dcs_mine args...>
+expect_mine() {
+  local want="$1"
+  local needle="$2"
+  shift 2
+  "$mine" "$@" > "$dir/out.txt" 2> "$dir/err.txt"
+  local got=$?
+  if [ "$got" -ne "$want" ]; then
+    echo "dcs_store_cli: 'dcs_mine $*' exited $got, expected $want:" >&2
+    cat "$dir/err.txt" >&2
+    status=1
+  elif [ -n "$needle" ] && ! grep -qF -- "$needle" "$dir/err.txt"; then
+    echo "dcs_store_cli: 'dcs_mine $*' stderr lacks '$needle':" >&2
+    cat "$dir/err.txt" >&2
+    status=1
+  fi
+}
+
+pair=(--g1 "$dir/g1.el" --g2 "$dir/g2.el")
+expect_mine 2 "flag '--g1' is missing its <edge-list> value" --g1
+expect_mine 2 "unknown flag '--shared-cache'" "${pair[@]}" --shared-cache 4
+expect_mine 2 "--topk must be >= 1" "${pair[@]}" --topk 0
+expect_mine 2 "invalid numeric value for --alpha: 'foo'" "${pair[@]}" \
+  --alpha foo
+expect_mine 0 "" "${pair[@]}" --quiet
+
 flip_last_byte "$store"
 flip_last_byte "$journal"
 expect 1 fsck "$store"
@@ -79,6 +107,7 @@ expect 2 stat --quiet "$store"
 expect 2 journal ls "$journal" extra
 
 if [ "$status" -eq 0 ]; then
-  echo "dcs_store_cli OK: exit codes 0 clean, 1 corrupt, 2 usage"
+  echo "dcs_store_cli OK: exit codes 0 clean, 1 corrupt, 2 usage;" \
+       "dcs_mine usage errors exit 2"
 fi
 exit "$status"

@@ -201,5 +201,46 @@ TEST(DiscretizeSpecTest, DiscretizeRejectsInvalidSpec) {
   EXPECT_FALSE(DiscretizeWeights(gd, spec).ok());
 }
 
+TEST(AlphaUpperBoundTest, MatchesMaxRatio) {
+  Graph g1 = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 4.0}});
+  Graph g2 = MakeGraph(4, {{0, 1, 3.0}, {1, 2, 2.0}});
+  auto alpha = AlphaUpperBound(g1, g2);
+  ASSERT_TRUE(alpha.ok());
+  EXPECT_DOUBLE_EQ(*alpha, 1.5);  // 3/2 beats 2/4
+}
+
+TEST(AlphaUpperBoundTest, MissingG1EdgeGivesInfinity) {
+  Graph g1 = MakeGraph(3, {{0, 1, 2.0}});
+  Graph g2 = MakeGraph(3, {{0, 1, 1.0}, {1, 2, 1.0}});
+  auto alpha = AlphaUpperBound(g1, g2);
+  ASSERT_TRUE(alpha.ok());
+  EXPECT_TRUE(std::isinf(*alpha));
+}
+
+TEST(AlphaUpperBoundTest, EdgelessG2GivesZero) {
+  Graph g1 = MakeGraph(3, {{0, 1, 2.0}});
+  auto alpha = AlphaUpperBound(g1, Graph(3));
+  ASSERT_TRUE(alpha.ok());
+  EXPECT_DOUBLE_EQ(*alpha, 0.0);
+}
+
+TEST(AlphaUpperBoundTest, MismatchedSizesRejected) {
+  EXPECT_FALSE(AlphaUpperBound(Graph(3), Graph(4)).ok());
+}
+
+TEST(AlphaUpperBoundTest, ContrastVanishesAboveAlpha) {
+  // §III-D: at α just below the bound the difference graph has a positive
+  // edge (positive optimum); at α above it, none.
+  Graph g1 = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 4.0}, {2, 3, 1.0}});
+  Graph g2 = MakeGraph(4, {{0, 1, 3.0}, {1, 2, 2.0}, {2, 3, 1.2}});
+  auto alpha = AlphaUpperBound(g1, g2);
+  ASSERT_TRUE(alpha.ok());
+  auto below = BuildDifferenceGraph(g1, g2, *alpha * 0.99);
+  auto above = BuildDifferenceGraph(g1, g2, *alpha * 1.01);
+  ASSERT_TRUE(below.ok() && above.ok());
+  EXPECT_GT(below->ComputeWeightStats().num_positive_edges, 0u);
+  EXPECT_EQ(above->ComputeWeightStats().num_positive_edges, 0u);
+}
+
 }  // namespace
 }  // namespace dcs

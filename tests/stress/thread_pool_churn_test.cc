@@ -54,8 +54,8 @@ TEST(ThreadPoolChurnTest, HundredsOfTinyGroupsFromManySubmitters) {
 }
 
 TEST(ThreadPoolChurnTest, NestedGroupsUnderChurnDoNotDeadlockOrLeak) {
-  // The MineAll shape: outer groups (requests) open inner groups (seed
-  // shards) on the same pool, from multiple sessions' worth of submitters.
+  // Nested groups: outer tasks open inner groups on the same pool, from
+  // multiple sessions' worth of submitters.
   ThreadPool pool(2);
   constexpr size_t kSubmitters = 4;
   constexpr size_t kRounds = 60;

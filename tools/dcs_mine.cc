@@ -10,9 +10,8 @@
 //
 // This tool consumes the api/ facade only (see tools/check_layering.sh):
 // the whole difference-graph pipeline (build → discretize → clamp →
-// GD+/smart-bounds → solve → rank) lives behind MinerSession, the async
-// path behind MiningService, and the cross-session path behind a shared
-// PipelineCache.
+// GD+/smart-bounds → solve → rank) lives behind MinerSession, and the
+// async, journaled and multi-tenant paths behind MiningService.
 
 #include <cerrno>
 #include <chrono>
@@ -62,9 +61,6 @@ constexpr FlagSpec kFlagTable[] = {
     {"--async", "",
      "submit through the MiningService job queue and poll the "
      "queued -> running -> done lifecycle"},
-    {"--shared-cache", "<n>",
-     "mine through n sessions attached to one shared PipelineCache "
-     "(session 0 first, the rest concurrently); prints cache telemetry"},
     {"--tenants", "<n>",
      "submit the request to n tenants of one multi-tenant MiningService "
      "(shared executors, worker pool and pipeline cache); asserts all "
@@ -100,12 +96,11 @@ struct Args {
   bool flip = false;
   uint32_t topk = 1;
   bool async = false;
-  uint32_t shared_cache_sessions = 0;  // 0 = single-session mode
-  uint32_t tenants = 0;                // 0 = single-tenant modes
-  std::string store_path;              // empty = memory-only
-  std::string journal_path;            // empty = no job journal
-  double deadline_seconds = 0.0;       // 0 = no deadline
-  std::string inject_spec;             // empty = fault injection disarmed
+  uint32_t tenants = 0;           // 0 = single-tenant modes
+  std::string store_path;         // empty = memory-only
+  std::string journal_path;       // empty = no job journal
+  double deadline_seconds = 0.0;  // 0 = no deadline
+  std::string inject_spec;        // empty = fault injection disarmed
   bool fast_math = false;
   bool quiet = false;
   bool help = false;
@@ -131,11 +126,11 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "edge\n");
 }
 
-bool IsKnownFlag(const std::string& flag) {
+const FlagSpec* FindFlag(const std::string& flag) {
   for (const FlagSpec& spec : kFlagTable) {
-    if (flag == spec.name) return true;
+    if (flag == spec.name) return &spec;
   }
-  return false;
+  return nullptr;
 }
 
 // Strict numeric parsing: the whole token must be consumed, the value must
@@ -172,7 +167,8 @@ bool ParseUint32Strict(const char* text, uint32_t* out) {
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (!IsKnownFlag(flag)) {
+    const FlagSpec* spec = FindFlag(flag);
+    if (spec == nullptr) {
       std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
       return false;
     }
@@ -202,14 +198,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--topk" && next_value(&value)) {
       if (!ParseUint32Strict(value, &args->topk)) {
         std::fprintf(stderr, "invalid numeric value for --topk: '%s'\n",
-                     value);
-        return false;
-      }
-    } else if (flag == "--shared-cache" && next_value(&value)) {
-      if (!ParseUint32Strict(value, &args->shared_cache_sessions) ||
-          args->shared_cache_sessions == 0) {
-        std::fprintf(stderr,
-                     "invalid session count for --shared-cache: '%s'\n",
                      value);
         return false;
       }
@@ -246,7 +234,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return true;
     } else {
       std::fprintf(stderr, "flag '%s' is missing its %s value\n",
-                   flag.c_str(), flag.c_str());
+                   flag.c_str(), spec->value);
       return false;
     }
   }
@@ -262,24 +250,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--alpha must be positive\n");
     return false;
   }
-  if (args->async && args->shared_cache_sessions > 0) {
-    std::fprintf(stderr, "--async and --shared-cache are exclusive\n");
-    return false;
-  }
-  if (args->deadline_seconds > 0.0 && args->shared_cache_sessions > 0) {
-    std::fprintf(stderr, "--deadline and --shared-cache are exclusive\n");
-    return false;
-  }
-  if (args->tenants > 0 &&
-      (args->async || args->shared_cache_sessions > 0)) {
-    std::fprintf(stderr,
-                 "--tenants subsumes --async and excludes --shared-cache\n");
-    return false;
-  }
-  if (!args->journal_path.empty() && args->shared_cache_sessions > 0) {
-    // The journal is a MiningService feature; the shared-cache mode mines
-    // through bare sessions with no admission to journal.
-    std::fprintf(stderr, "--journal and --shared-cache are exclusive\n");
+  if (args->tenants > 0 && args->async) {
+    std::fprintf(stderr, "--tenants subsumes --async\n");
     return false;
   }
   return true;
@@ -308,69 +280,6 @@ bool SameRanking(const std::vector<RankedSubgraph>& a,
     }
   }
   return true;
-}
-
-// The --shared-cache path: n sessions over copies of the same graphs, all
-// attached to one PipelineCache. Session 0 mines `request` first and pays
-// the pipeline preparation and the solve; sessions 1..n-1 then mine it
-// concurrently and are served from the cache's response memo. Every
-// response must be bit-identical (the cross-session determinism guarantee).
-// Returns the response of session 0, or an error status.
-Result<MiningResponse> MineSharedCache(
-    const Args& args, const Graph& g1, const Graph& g2,
-    const MiningRequest& request,
-    const std::shared_ptr<ArtifactStore>& store) {
-  const uint32_t n = args.shared_cache_sessions;
-  auto cache = std::make_shared<PipelineCache>();
-  std::vector<Result<MiningResponse>> responses(
-      n, Result<MiningResponse>(Status::Internal("not mined")));
-  std::vector<uint64_t> rebuilds(n, 0);
-  auto mine = [&](uint32_t i) {
-    SessionOptions options;
-    options.pipeline_cache = cache;
-    options.artifact_store = store;
-    Result<MinerSession> session = MinerSession::Create(g1, g2, options);
-    if (!session.ok()) {
-      responses[i] = session.status();
-      return;
-    }
-    responses[i] = session->Mine(request);
-    rebuilds[i] = session->num_rebuilds();
-  };
-  mine(0);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n - 1);
-    for (uint32_t i = 1; i < n; ++i) threads.emplace_back(mine, i);
-    for (std::thread& t : threads) t.join();
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!responses[i].ok()) return responses[i].status();
-  }
-  for (uint32_t i = 1; i < n; ++i) {
-    if (!SameRanking(responses[0]->average_degree,
-                     responses[i]->average_degree) ||
-        !SameRanking(responses[0]->graph_affinity,
-                     responses[i]->graph_affinity)) {
-      return Status::Internal("session " + std::to_string(i) +
-                              " diverged from session 0 — cross-session "
-                              "determinism violated");
-    }
-  }
-  if (!args.quiet) {
-    uint64_t prepared = 0;
-    for (uint32_t i = 0; i < n; ++i) prepared += rebuilds[i];
-    const PipelineCacheStats stats = cache->stats();
-    std::printf(
-        "# shared cache: %u sessions, %llu prepared the pipeline, "
-        "%llu hits / %llu misses, %llu response hits, %zu bytes resident\n",
-        n, static_cast<unsigned long long>(prepared),
-        static_cast<unsigned long long>(stats.hits),
-        static_cast<unsigned long long>(stats.misses),
-        static_cast<unsigned long long>(stats.response_hits), stats.bytes);
-    std::printf("# all %u responses bit-identical\n", n);
-  }
-  return std::move(responses[0]);
 }
 
 // The --tenants path: n tenants over copies of the same graphs, scheduled
@@ -500,7 +409,7 @@ int main(int argc, char** argv) {
   // path wraps its own CancelToken below (Mine ignores the field).
   request.deadline_seconds = args.deadline_seconds;
   if (args.discrete) request.discretize = DiscretizeSpec{};
-  // Per-request opt-in reaches every mode (single, --async, --shared-cache)
+  // Per-request opt-in reaches every mode (single, --async, --tenants)
   // through the one MiningRequest they all share.
   request.ga_solver.fast_math = args.fast_math;
 
@@ -545,13 +454,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     have_health = true;
-  } else if (args.shared_cache_sessions > 0) {
-    response = MineSharedCache(args, *g1, *g2, request, store);
-    if (!response.ok()) {
-      std::fprintf(stderr, "shared-cache mining failed: %s\n",
-                   response.status().ToString().c_str());
-      return 1;
-    }
   } else {
     SessionOptions session_options;
     session_options.artifact_store = store;
