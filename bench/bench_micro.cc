@@ -66,7 +66,7 @@ void BM_GreedyPeel(benchmark::State& state) {
     benchmark::DoNotOptimize(result.density);
   }
 }
-BENCHMARK(BM_GreedyPeel)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_GreedyPeel)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_CoreNumbers(benchmark::State& state) {
   const VertexId n = static_cast<VertexId>(state.range(0));

@@ -7,6 +7,19 @@
 
 namespace dcs {
 
+namespace {
+
+bool HasPositiveEdge(const Graph& graph) {
+  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
+    for (const Neighbor& nb : graph.NeighborsOf(u)) {
+      if (nb.weight > 0.0) return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 Result<std::vector<RankedDcsad>> MineTopKDcsad(
     const Graph& gd, const TopkDcsadOptions& options) {
   if (gd.NumVertices() == 0) return Status::InvalidArgument("empty graph");
@@ -35,7 +48,10 @@ Result<std::vector<RankedDcsad>> MineTopKDcsad(
       }
     }
     DCS_ASSIGN_OR_RETURN(remaining, builder.Build());
-    if (remaining.NumEdges() == 0) break;
+    // Without a positive edge DCSGreedy answers with the singleton {0},
+    // which may already be taken; every remaining subgraph has density <= 0,
+    // so a later round could only repeat a removed vertex.
+    if (!HasPositiveEdge(remaining)) break;
   }
   return results;
 }

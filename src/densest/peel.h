@@ -10,7 +10,11 @@
 // generators inside DCSGreedy (Algorithm 2) — §IV shows no polynomial
 // algorithm can do better than O(n^{1−ε}) there.
 //
-// Complexity: O((n + m) log n) using a min segment tree over current degrees.
+// Victim order: the minimum current weighted degree, ties broken towards the
+// lowest vertex id — keys compare as (value, id).
+//
+// Complexity: O((n + m) log n) using an indexed 4-ary min-heap over current
+// degrees.
 
 #ifndef DCS_DENSEST_PEEL_H_
 #define DCS_DENSEST_PEEL_H_

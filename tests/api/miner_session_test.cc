@@ -101,6 +101,26 @@ TEST(MinerSessionTest, AverageDegreeParityWithDcsGreedy) {
                    direct->ratio_bound);
 }
 
+// Regression: a top-k DCSAD request with a negative min_density must stay
+// vertex-disjoint once the positive edges run out (it used to report the
+// singleton {0} twice after {0, 1}).
+TEST(MinerSessionTest, TopKAverageDegreeBelowZeroStaysDisjoint) {
+  // GD = G2 - G1 = {(0,1,+2), (2,3,-1)}.
+  Result<MinerSession> session = MinerSession::Create(
+      MakeGraph(4, {{2, 3, 1.0}}), MakeGraph(4, {{0, 1, 2.0}}));
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  request.measure = Measure::kAverageDegree;
+  request.top_k = 3;
+  request.min_density = -1.0;
+  Result<MiningResponse> response = session->Mine(request);
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response->average_degree.size(), 1u);
+  EXPECT_EQ(response->average_degree[0].vertices,
+            (std::vector<VertexId>{0, 1}));
+  EXPECT_DOUBLE_EQ(response->average_degree[0].value, 2.0);
+}
+
 TEST(MinerSessionTest, GraphAffinityParityWithNewSea) {
   Result<MinerSession> session = MinerSession::Create(Fig1G1(), Fig1G2());
   ASSERT_TRUE(session.ok());

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "densest/exact.h"
 #include "gen/random_graphs.h"
@@ -143,6 +145,38 @@ TEST(DcsGreedyTest, CandidateDensitiesAreConsistent) {
   for (double candidate : result->candidate_densities) {
     EXPECT_GE(result->density, candidate - 1e-9);
   }
+}
+
+// Golden answer on the smoke-size input of the repository benchmark's
+// ad_alpha_sweep workload (Chung-Lu pair, alpha = 1). The constants were
+// captured once and pin DCSGreedy bit for bit: any change to the peel's
+// victim order or to its degree sums moves at least one of them.
+TEST(DcsGreedyTest, GoldenAnswerOnChungLuPair) {
+  ChungLuParams params;
+  params.n = 3000;
+  params.average_degree = 20.0;
+  params.exponent = 2.3;
+  params.weight_geometric_p = 0.5;
+  Rng rng(2);
+  auto g1 = ChungLu(params, &rng);
+  auto g2 = ChungLu(params, &rng);
+  ASSERT_TRUE(g1.ok());
+  ASSERT_TRUE(g2.ok());
+  auto result = RunDcsGreedy(*g1, *g2);
+  ASSERT_TRUE(result.ok());
+
+  uint64_t subset_hash = 0xcbf29ce484222325ull;  // FNV-1a over the ids
+  for (VertexId v : result->subset) {
+    subset_hash = (subset_hash ^ v) * 0x100000001b3ull;
+  }
+  uint64_t density_bits = 0;
+  uint64_t ratio_bits = 0;
+  std::memcpy(&density_bits, &result->density, sizeof(double));
+  std::memcpy(&ratio_bits, &result->ratio_bound, sizeof(double));
+  EXPECT_EQ(result->subset.size(), 49u);
+  EXPECT_EQ(subset_hash, 0xbc44f4f9e6c453fbull);
+  EXPECT_EQ(density_bits, 0x403743eb1a1f58d1ull);  // 23.265306...
+  EXPECT_EQ(ratio_bits, 0x401382bf1e78a42cull);  // 4.877682...
 }
 
 }  // namespace

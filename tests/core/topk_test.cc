@@ -45,6 +45,21 @@ TEST(TopkDcsadTest, FindsAllThreeCliquesInOrder) {
   EXPECT_DOUBLE_EQ((*results)[2].density, 2.0);
 }
 
+// Regression: at a negative min_density the rounds used to go on after the
+// last positive edge was removed, and DCSGreedy's no-positive-edge singleton
+// {0} came back twice although round 1 had already taken vertex 0.
+TEST(TopkDcsadTest, NegativeMinDensityStopsOnceNoPositiveEdgeRemains) {
+  const Graph gd = MakeGraph(4, {{0, 1, 2.0}, {2, 3, -1.0}});
+  TopkDcsadOptions options;
+  options.k = 3;
+  options.min_density = -1.0;
+  auto results = MineTopKDcsad(gd, options);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results->size(), 1u);
+  EXPECT_EQ((*results)[0].subset, (std::vector<VertexId>{0, 1}));
+  EXPECT_DOUBLE_EQ((*results)[0].density, 2.0);
+}
+
 TEST(TopkDcsadTest, KLimitsResults) {
   TopkDcsadOptions options;
   options.k = 2;
