@@ -13,17 +13,15 @@
 #include "util/table.h"
 #include "util/timer.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dcs;
   using namespace dcs::bench;
-  const BenchArgs args = ParseBenchArgs(argc, argv);
   const uint64_t seed = 20180416;
   std::printf("seed = %llu (times in seconds)\n\n",
               static_cast<unsigned long long>(seed));
 
   const std::vector<BenchDataset> datasets =
-      BuildBenchDatasets(seed, /*include_large=*/!args.smoke);
-  JsonReporter reporter("table07_runtime", seed);
+      BuildBenchDatasets(seed, /*include_large=*/true);
 
   TablePrinter table("Table VII analog: running time (s) of DCSGA solvers",
                      {"Data", "Setting", "GD Type", "NewSEA", "SEACD+Refine",
@@ -66,22 +64,7 @@ int main(int argc, char** argv) {
                   TablePrinter::Fmt(uint64_t{newsea->initializations}),
                   same ? "Yes" : "No"});
     std::fflush(stdout);
-
-    reporter.Add({dataset.Label() + " / NewSEA", 1, newsea_seconds * 1e3,
-                  newsea->initializations, newsea->pruned_seeds,
-                  newsea->affinity});
-    reporter.Add({dataset.Label() + " / SEACD+Refine", 1, seacd_seconds * 1e3,
-                  seacd->initializations, seacd->pruned_seeds,
-                  seacd->affinity});
-    reporter.Add({dataset.Label() + " / SEA+Refine", 1, sea_seconds * 1e3,
-                  sea->initializations, sea->pruned_seeds, sea->affinity});
   }
   table.Print();
-
-  if (!args.json_path.empty()) {
-    DCS_CHECK(reporter.WriteTo(args.json_path))
-        << "cannot write " << args.json_path;
-    std::printf("\nwrote %s\n", args.json_path.c_str());
-  }
   return 0;
 }

@@ -10,16 +10,12 @@
 #define DCS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "api/mining.h"
 #include "gen/coauthor.h"
 #include "gen/interest_social.h"
 #include "gen/keywords.h"
@@ -31,153 +27,6 @@
 #include "util/rng.h"
 
 namespace dcs::bench {
-
-/// Command-line surface shared by the bench drivers:
-///   --json <path>  write a machine-readable BENCH_*.json (see JsonReporter)
-///   --smoke        tiny inputs, for the bench_smoke ctest wiring
-/// Unknown flags abort so that CI typos cannot silently bench nothing.
-struct BenchArgs {
-  std::string json_path;  ///< empty = no JSON output
-  bool smoke = false;
-};
-
-inline BenchArgs ParseBenchArgs(int argc, char** argv) {
-  BenchArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view flag = argv[i];
-    if (flag == "--json" && i + 1 < argc) {
-      args.json_path = argv[++i];
-    } else if (flag == "--smoke") {
-      args.smoke = true;
-    } else {
-      DCS_CHECK(false) << "unknown bench flag '" << argv[i]
-                       << "' (expected --json <path> or --smoke)";
-    }
-  }
-  return args;
-}
-
-/// Mean of the samples; 0 when empty.
-inline double MeanOf(const std::vector<double>& samples) {
-  double total = 0.0;
-  for (const double s : samples) total += s;
-  return samples.empty() ? 0.0 : total / static_cast<double>(samples.size());
-}
-
-/// Nearest-rank p95: the ceil(0.95·n)-th smallest sample; 0 when empty. The
-/// one percentile definition every bench shares, so the committed
-/// BENCH_*.json latency columns are comparable across drivers.
-inline double P95Of(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  return samples[(samples.size() * 95 + 99) / 100 - 1];
-}
-
-/// Nearest-rank p99, same convention as P95Of; 0 when empty. Used by the
-/// overload rows of bench_multitenant, where the tail beyond p95 is the
-/// story.
-inline double P99Of(std::vector<double> samples) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  return samples[(samples.size() * 99 + 99) / 100 - 1];
-}
-
-/// Full-precision serialization of a response's DCSGA ranking — the
-/// bit-identity checksum the cross-session and streaming benches compare.
-inline std::string SerializeAffinityRanking(const MiningResponse& response) {
-  std::string out;
-  char buf[64];
-  for (const RankedSubgraph& s : response.graph_affinity) {
-    for (VertexId v : s.vertices) {
-      std::snprintf(buf, sizeof(buf), "%u,", v);
-      out += buf;
-    }
-    std::snprintf(buf, sizeof(buf), "|%.17g;", s.value);
-    out += buf;
-  }
-  return out;
-}
-
-/// One measured configuration of a bench run.
-struct BenchRecord {
-  std::string dataset;          ///< roster label (+ solver / config suffix)
-  uint32_t threads = 1;         ///< seed-shard workers used
-  double wall_ms = 0.0;         ///< wall-clock of the measured solve
-  uint64_t initializations = 0; ///< seeds actually descended from
-  uint64_t pruned_seeds = 0;    ///< candidate seeds skipped by Theorem 6
-  double affinity = 0.0;        ///< best affinity found (result checksum)
-  /// Bench-specific numeric fields appended verbatim to the JSON record
-  /// (bench_async_throughput adds jobs / throughput / latency percentiles);
-  /// keys must be stable — check_bench_json.sh validates them per bench.
-  std::vector<std::pair<std::string, double>> extra;
-};
-
-/// \brief Machine-readable bench output, schema-checked in CI by
-/// tools/check_bench_json.sh (ctest `bench_smoke`):
-///   {"bench": ..., "seed": ..., "hardware_concurrency": ...,
-///    "records": [{"dataset", "threads", "wall_ms", "initializations",
-///                 "pruned_seeds", "affinity"}, ...]}
-/// The perf trajectory lives in committed BENCH_*.json files produced by
-/// running the benches with `--json`.
-class JsonReporter {
- public:
-  JsonReporter(std::string bench, uint64_t seed)
-      : bench_(std::move(bench)), seed_(seed) {}
-
-  void Add(BenchRecord record) { records_.push_back(std::move(record)); }
-
-  /// Writes the report; returns false on I/O failure.
-  bool WriteTo(const std::string& path) const {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) return false;
-    std::fprintf(out,
-                 "{\n  \"bench\": \"%s\",\n  \"seed\": %" PRIu64
-                 ",\n  \"hardware_concurrency\": %u,\n  \"records\": [",
-                 Escape(bench_).c_str(), seed_,
-                 std::thread::hardware_concurrency());
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const BenchRecord& r = records_[i];
-      std::fprintf(out,
-                   "%s\n    {\"dataset\": \"%s\", \"threads\": %u, "
-                   "\"wall_ms\": %.3f, \"initializations\": %" PRIu64
-                   ", \"pruned_seeds\": %" PRIu64 ", \"affinity\": %.17g",
-                   i == 0 ? "" : ",", Escape(r.dataset).c_str(), r.threads,
-                   r.wall_ms, r.initializations, r.pruned_seeds, r.affinity);
-      for (const auto& [key, value] : r.extra) {
-        std::fprintf(out, ", \"%s\": %.17g", Escape(key).c_str(), value);
-      }
-      std::fprintf(out, "}");
-    }
-    std::fprintf(out, "\n  ]\n}\n");
-    const bool ok = std::fclose(out) == 0;
-    return ok;
-  }
-
- private:
-  // JSON string escaping; roster labels carry spaces, slashes and UTF-8
-  // (passes through verbatim — JSON strings are UTF-8).
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    return out;
-  }
-
-  std::string bench_;
-  uint64_t seed_;
-  std::vector<BenchRecord> records_;
-};
 
 /// One difference graph of the Table II roster.
 struct BenchDataset {

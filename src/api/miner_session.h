@@ -116,8 +116,8 @@ struct SessionOptions {
   /// rebuilding. Larger batches (and the initial bulk load, where m = 0)
   /// take the classic full rebuild; both paths are bit-identical. 0 disables
   /// patching. The default sits safely under the measured crossover — the
-  /// patch path stays ahead of a rebuild well past Δ/m = 0.25 (see
-  /// bench_streaming_updates / BENCH_streaming_updates.json).
+  /// patch path stays ahead of a rebuild well past Δ/m = 0.25; both sides
+  /// of the crossover are pinned equal by StreamingUpdateEquivalenceTest.
   double patch_rebuild_ratio = 0.25;
   /// Permit floating-point reassociation in the DCSGA reduction kernels for
   /// every request this session serves (per-request opt-in:

@@ -160,7 +160,7 @@ void SeedOrderSort(const std::vector<double>& mu,
 /// sort-and-merge. Each is bit-identical — same vertices, edges and weight
 /// bit patterns, hence equal ContentFingerprint — to the builder-based
 /// reference implementation it shadows (graph/difference.h, graph/graph.h),
-/// which the kernel tests and bench_micro_kernels assert every cycle.
+/// which GraphKernelsTest and KernelSolverTest (tests/core) assert.
 class GraphKernels {
  public:
   /// Kernel twin of BuildDifferenceGraph (graph/difference.h): one merge

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -32,6 +33,11 @@ Result<Graph> ReadEdgeList(std::istream& in) {
     if (!(header >> n) || n < 0) {
       return Status::IoError("line " + std::to_string(line_number) +
                              ": expected non-negative vertex count");
+    }
+    if (n > static_cast<long long>(std::numeric_limits<VertexId>::max())) {
+      return Status::IoError("line " + std::to_string(line_number) +
+                             ": vertex count " + std::to_string(n) +
+                             " exceeds the VertexId range");
     }
     break;
   }

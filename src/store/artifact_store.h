@@ -34,7 +34,7 @@
 // Determinism: payloads carry exact IEEE-754 bit patterns, so an artifact
 // loaded from the store is bit-identical to the one written — a
 // store-warmed solve equals a cold-built one bit for bit (pinned by
-// tests/store/artifact_store_test.cc and the bench_cold_start cycle).
+// tests/store/artifact_store_test.cc, corrupt-store rebuilds included).
 
 #ifndef DCS_STORE_ARTIFACT_STORE_H_
 #define DCS_STORE_ARTIFACT_STORE_H_

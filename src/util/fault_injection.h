@@ -5,8 +5,8 @@
 // task dispatch) by calling FaultHit("site.name") at the point where an I/O
 // or dispatch error would surface. A disarmed registry makes that call one
 // relaxed atomic load — no lock, no map lookup, no branch history beyond a
-// never-taken jump — so shipping the hooks costs nothing (bench_fault_recovery
-// pins the <1% bound). Tests and `dcs_mine --inject` arm sites with a
+// never-taken jump — so shipping the hooks costs nothing (the chaos test
+// DisarmedHooksCostUnderOnePercentOfAMine pins the <1% bound). Tests and `dcs_mine --inject` arm sites with a
 // FaultSpec; armed sites then fail (or stall) on a *deterministic* schedule.
 //
 // Determinism: the fire/no-fire decision for a site's N-th hit is a pure

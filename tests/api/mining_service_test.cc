@@ -881,6 +881,86 @@ TEST(MultiTenantTest, AdmissionControlShedsLoadDeterministically) {
   byte_service.Drain();
 }
 
+// Twice the load the queues hold is offered to a weighted (3:1:1) service
+// with a shared cache and pool: every refusal is backpressure or budget, and
+// every admitted job still finishes bit-identical to a synchronous mine of
+// its (tenant, request) pair — shedding never touches what was let in.
+TEST(MultiTenantTest, OverloadShedsAtAdmissionAndAdmittedJobsStayExact) {
+  auto pairs = TenantPairs();
+  std::vector<std::vector<std::string>> expected(pairs.size());
+  for (size_t t = 0; t < pairs.size(); ++t) {
+    MinerSession reference = MustCreate(pairs[t].first, pairs[t].second);
+    for (const MiningRequest& request : TenantScript(t)) {
+      Result<MiningResponse> mined = reference.Mine(request);
+      ASSERT_TRUE(mined.ok());
+      expected[t].push_back(::dcs::testing::SerializeSubgraphs(*mined));
+    }
+  }
+
+  MiningServiceOptions options;
+  options.start_paused = true;  // the queues fill before anything runs
+  options.num_executors = 2;
+  options.max_queued_jobs = 2;
+  options.max_total_queued_jobs = 8;
+  options.shared_cache = std::make_shared<PipelineCache>();
+  options.worker_pool =
+      std::make_shared<ThreadPool>(ThreadPool::DefaultConcurrency() - 1);
+  MiningService service(options);
+  for (size_t t = 0; t < pairs.size(); ++t) {
+    TenantOptions tenant_options;
+    tenant_options.weight = t == 0 ? 3 : 1;
+    tenant_options.max_queued_jobs = t == 0 ? 6 : 0;
+    ASSERT_TRUE(service
+                    .AddTenant(MustCreate(pairs[t].first, pairs[t].second),
+                               tenant_options)
+                    .ok());
+  }
+
+  // (tenant, script slot, id) of every admitted job.
+  struct Admitted {
+    size_t tenant;
+    size_t slot;
+    JobId id;
+  };
+  std::vector<Admitted> admitted;
+  size_t backpressure = 0, exhausted = 0;
+  const size_t script_size = TenantScript(0).size();
+  for (size_t i = 0; i < 2 * script_size; ++i) {
+    for (size_t t = 0; t < pairs.size(); ++t) {
+      MiningRequest request = TenantScript(t)[i % script_size];
+      request.priority = static_cast<int32_t>(i % 3) - 1;
+      Result<JobId> id = service.Submit(static_cast<TenantId>(t), request);
+      if (id.ok()) {
+        admitted.push_back({t, i % script_size, *id});
+      } else if (id.status().code() == StatusCode::kOutOfRange) {
+        ++backpressure;
+      } else {
+        EXPECT_TRUE(id.status().IsResourceExhausted())
+            << id.status().ToString();
+        ++exhausted;
+      }
+    }
+  }
+  // Tenant 0 (cap 6) fills up to the service budget of 8; tenants 1 and 2
+  // stop at their default cap of 2.
+  EXPECT_EQ(admitted.size(), 8u);
+  EXPECT_GT(backpressure, 0u);
+  EXPECT_GT(exhausted, 0u);
+  EXPECT_EQ(service.num_admission_rejections(), backpressure + exhausted);
+
+  service.Resume();
+  for (const Admitted& job : admitted) {
+    Result<JobStatus> status = service.Wait(job.id);
+    ASSERT_TRUE(status.ok());
+    ASSERT_EQ(status->state, JobState::kDone)
+        << "tenant " << job.tenant << " job " << job.id << ": "
+        << status->failure.ToString();
+    EXPECT_EQ(::dcs::testing::SerializeSubgraphs(status->response),
+              expected[job.tenant][job.slot])
+        << "tenant " << job.tenant << " slot " << job.slot;
+  }
+}
+
 TEST(MultiTenantTest, AddTenantAndLookupValidation) {
   MiningService service(MustCreate(Fig1G1(), Fig1G2()));
   Result<TenantId> bad =

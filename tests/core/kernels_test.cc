@@ -1,10 +1,12 @@
 // Golden scalar-vs-vectorized bit-identity suite for the kernel layer
 // (core/kernels.h). Every default kernel must produce the same bits under
 // forced-scalar and forced-AVX2 dispatch — on elementwise kernels, on the
-// graph-producing twins of the reference builders, and end-to-end through
-// RunNewSea at thread counts {1,2,4,7}. The reassociating fast_math
-// reduction is held to thread-count invariance plus a tolerance against the
-// exact path instead. AVX2 halves skip on hardware without AVX2.
+// graph-producing twins of the reference builders, end-to-end through
+// RunNewSea at thread counts {1,2,4,7}, and through a whole Discrete-setting
+// mine (difference, discretize, GD+, solve) on a planted pair. The
+// reassociating fast_math reduction is held to thread-count invariance plus
+// a tolerance against the exact path instead. AVX2 halves skip on hardware
+// without AVX2.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 
 #include "core/kernels.h"
 #include "core/newsea.h"
+#include "gen/coauthor.h"
 #include "gen/random_graphs.h"
 #include "graph/difference.h"
 #include "graph/graph.h"
@@ -517,6 +520,47 @@ TEST(KernelSolverTest, NewSeaBitIdenticalAcrossIsaAndThreads) {
           << KernelIsaName(isa) << " x" << threads;
     }
   }
+}
+
+// The mine a Discrete-setting request runs, twice over a planted co-author
+// pair: the graph/difference.h builders with a forced-scalar solve, then the
+// GraphKernels twins with automatic dispatch. The answers must match bit for
+// bit.
+TEST(KernelSolverTest, KernelPipelineMatchesReferencePipeline) {
+  Rng rng(20180416);
+  CoauthorConfig config;
+  config.num_authors = 600;
+  config.emerging_sizes = {4, 7};
+  config.disappearing_sizes = {6, 2, 8};
+  Result<CoauthorData> data = GenerateCoauthorData(config, &rng);
+  ASSERT_TRUE(data.ok());
+  const DiscretizeSpec spec;
+
+  DcsgaResult reference;
+  {
+    ScopedIsa isa(KernelIsa::kScalar);
+    Result<Graph> gd = BuildDifferenceGraph(data->g1, data->g2);
+    ASSERT_TRUE(gd.ok());
+    Result<Graph> mapped = DiscretizeWeights(*gd, spec);
+    ASSERT_TRUE(mapped.ok());
+    const Graph gd_plus = mapped->PositivePart();
+    Result<DcsgaResult> solved =
+        RunNewSea(gd_plus, ComputeSmartInitBounds(gd_plus));
+    ASSERT_TRUE(solved.ok());
+    reference = std::move(*solved);
+  }
+
+  Result<Graph> gd = GraphKernels::BuildDifferenceGraph(data->g1, data->g2);
+  ASSERT_TRUE(gd.ok());
+  Result<Graph> mapped = GraphKernels::DiscretizeWeights(*gd, spec);
+  ASSERT_TRUE(mapped.ok());
+  const Graph gd_plus = GraphKernels::PositivePart(*mapped);
+  Result<DcsgaResult> kernel =
+      RunNewSea(gd_plus, ComputeSmartInitBounds(gd_plus));
+  ASSERT_TRUE(kernel.ok());
+  EXPECT_TRUE(SameBits(kernel->affinity, reference.affinity));
+  EXPECT_EQ(kernel->support, reference.support);
+  EXPECT_EQ(kernel->x.x, reference.x.x);
 }
 
 TEST(KernelSolverTest, FastMathIsThreadCountInvariantAndNearExact) {

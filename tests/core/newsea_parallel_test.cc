@@ -21,7 +21,7 @@ namespace {
 
 using ::dcs::testing::MakeGraph;
 
-const uint32_t kThreadCounts[] = {1, 2, 4, 7};
+const uint32_t kThreadCounts[] = {1, 2, 4, 7, 8};
 
 // Runs RunNewSea at every thread count (transient pools) and asserts the
 // full result triple is bit-identical to the sequential reference.

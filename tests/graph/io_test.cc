@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "gen/random_graphs.h"
 #include "test_util.h"
@@ -72,6 +73,19 @@ TEST(IoTest, MissingHeaderRejected) {
 TEST(IoTest, NegativeVertexCountRejected) {
   std::stringstream in("-3\n");
   EXPECT_FALSE(ReadEdgeList(in).ok());
+}
+
+TEST(IoTest, VertexCountBeyondVertexIdRangeRejected) {
+  // A count past the VertexId range must fail on its header line, not wrap
+  // (2^32 + 3 would read as 3 vertices, 2^32 as none).
+  for (const char* count : {"4294967299", "4294967296"}) {
+    std::stringstream in(std::string("# header\n") + count + "\n1 2 1.0\n");
+    auto g = ReadEdgeList(in);
+    ASSERT_FALSE(g.ok()) << count;
+    EXPECT_TRUE(g.status().IsIoError()) << count;
+    EXPECT_NE(g.status().message().find("line 2"), std::string::npos)
+        << g.status().message();
+  }
 }
 
 TEST(IoTest, MalformedEdgeRejected) {

@@ -6,7 +6,9 @@
 // completed jobs are bit-identical to a fault-free reference solve, the
 // degradation ladder walks healthy → degraded → store-offline instead of
 // failing mining, and the store file stays fsck-clean through everything —
-// including a cancellation racing the async write-back mid-append.
+// including a cancellation racing the async write-back mid-append. Two
+// smaller cases pin what the hooks cost: disarmed, they add < 1% to a mine;
+// under a recoverable store storm, retries absorb every fault bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -22,12 +24,14 @@
 #include "api/miner_session.h"
 #include "api/mining_service.h"
 #include "api/pipeline_cache.h"
+#include "gen/coauthor.h"
 #include "gen/random_graphs.h"
 #include "store/artifact_store.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace dcs {
 namespace {
@@ -529,6 +533,141 @@ TEST_F(ChaosTest, MultiTenantSchedulerStormStaysTerminalAndIsolated) {
   EXPECT_TRUE(fsck->superblock_ok);
   EXPECT_EQ(fsck->corrupt_pages, 0u);
   std::filesystem::remove(path);
+}
+
+// ---- what the hooks cost disarmed, and what a recoverable storm costs -------
+
+// A small planted co-author pair: large enough that one mine dwarfs a hook
+// crossing, small enough for the chaos label's time budget.
+CoauthorData HookCostPair() {
+  Rng rng(20180607);
+  CoauthorConfig config;
+  config.num_authors = 600;
+  config.emerging_sizes = {4, 7};
+  config.disappearing_sizes = {6, 2, 8};
+  Result<CoauthorData> data = GenerateCoauthorData(config, &rng);
+  DCS_CHECK(data.ok()) << data.status().ToString();
+  return std::move(data).value();
+}
+
+struct StoreCycle {
+  double wall_ms = 0.0;
+  uint64_t injected_faults = 0;
+  uint64_t store_retries = 0;
+  uint64_t store_write_errors = 0;
+  uint64_t hook_hits = 0;  // crossings of the five store/cache/pool sites
+  Status flushed;
+  std::string mined;  // every response, for the bit-identity check
+};
+
+// One process lifetime: open the store (when `store_path` is non-empty),
+// create a session and answer two DCSGA requests (two pipeline keys, so the
+// store sees several append and read crossings). The async write-back
+// settles outside the timed window but before the counters are read.
+StoreCycle RunStoreCycle(const CoauthorData& data,
+                         const std::string& store_path) {
+  StoreCycle out;
+  WallTimer timer;
+  SessionOptions options;
+  if (!store_path.empty()) options.artifact_store = OpenOrDie(store_path);
+  MinerSession session = MustCreate(data.g1, data.g2, options);
+  for (const double alpha : {1.0, 2.0}) {
+    MiningRequest request;
+    request.measure = Measure::kGraphAffinity;
+    request.alpha = alpha;
+    Result<MiningResponse> response = session.Mine(request);
+    DCS_CHECK(response.ok()) << response.status().ToString();
+    out.mined += SerializeSubgraphs(*response) + "#";
+  }
+  out.wall_ms = timer.Millis();
+  if (options.artifact_store != nullptr) {
+    out.flushed = options.artifact_store->Flush();
+    const ArtifactStoreStats stats = options.artifact_store->stats();
+    out.store_retries = stats.io_retries;
+    out.store_write_errors = stats.write_errors;
+  }
+  FaultInjection& faults = FaultInjection::Global();
+  out.injected_faults = faults.total_fires();
+  for (const char* site :
+       {fault_sites::kStoreRead, fault_sites::kStoreAppend,
+        fault_sites::kStoreFlock, fault_sites::kCacheBuild,
+        fault_sites::kPoolDispatch}) {
+    out.hook_hits += faults.hits(site);
+  }
+  return out;
+}
+
+// The cost of shipping the hooks: every site armed with prob=0 counts its
+// crossings without ever firing, and crossings × the measured disarmed
+// FaultHit cost (one relaxed atomic load) must stay under 1% of the wall of
+// the same cycle run hook-free.
+TEST_F(ChaosTest, DisarmedHooksCostUnderOnePercentOfAMine) {
+  const CoauthorData data = HookCostPair();
+  FaultInjection::Global().Reset();
+  const StoreCycle baseline = RunStoreCycle(data, "");
+
+  constexpr uint64_t kCalls = 2'000'000;
+  ASSERT_FALSE(FaultInjection::armed());
+  uint64_t fired = 0;
+  WallTimer timer;
+  for (uint64_t i = 0; i < kCalls; ++i) {
+    fired += FaultHit("chaos.noop") ? 1 : 0;
+  }
+  const double ns_per_call = timer.Seconds() * 1e9 / kCalls;
+  ASSERT_EQ(fired, 0u) << "disarmed registry fired";
+
+  const std::string path = ::testing::TempDir() + "chaos_hook_cost.dcs";
+  std::filesystem::remove(path);
+  ASSERT_TRUE(FaultInjection::Global()
+                  .ArmText("store.read:prob=0;store.append:prob=0;"
+                           "store.flock:prob=0;cache.build:prob=0;"
+                           "pool.dispatch:prob=0")
+                  .ok());
+  const StoreCycle counted = RunStoreCycle(data, path);
+  FaultInjection::Global().Reset();
+  std::filesystem::remove(path);
+
+  EXPECT_TRUE(counted.flushed.ok()) << counted.flushed.ToString();
+  EXPECT_EQ(counted.mined, baseline.mined);
+  EXPECT_GT(counted.hook_hits, 0u) << "counted cycle saw no hooks";
+  EXPECT_EQ(counted.injected_faults, 0u) << "prob=0 fired";
+  ASSERT_GT(baseline.wall_ms, 0.0);
+  const double overhead_pct = 100.0 *
+                              (static_cast<double>(counted.hook_hits) *
+                               ns_per_call / 1e6) /
+                              baseline.wall_ms;
+  EXPECT_LT(overhead_pct, 1.0)
+      << counted.hook_hits << " crossings x " << ns_per_call << " ns vs a "
+      << baseline.wall_ms << " ms baseline";
+}
+
+// The recoverable storm: every other append and flock and every third read
+// fail. Bounded retry absorbs the read/append faults and the flock degrades
+// to lockless, so every request still answers bit-identically and no fault
+// reaches the store's write-error count.
+TEST_F(ChaosTest, RecoverableStoreStormIsAbsorbedBitIdentically) {
+  const CoauthorData data = HookCostPair();
+  FaultInjection::Global().Reset();
+  const StoreCycle baseline = RunStoreCycle(data, "");
+
+  const std::string path = ::testing::TempDir() + "chaos_recoverable.dcs";
+  std::filesystem::remove(path);
+  ASSERT_TRUE(FaultInjection::Global()
+                  .ArmText("store.append:every=2;store.read:every=3;"
+                           "store.flock:every=2")
+                  .ok());
+  const StoreCycle faulted = RunStoreCycle(data, path);
+  FaultInjection::Global().Reset();
+  std::filesystem::remove(path);
+
+  EXPECT_TRUE(faulted.flushed.ok())
+      << "write-back failed past the retry budget: "
+      << faulted.flushed.ToString();
+  EXPECT_EQ(faulted.mined, baseline.mined);
+  EXPECT_GT(faulted.injected_faults, 0u) << "storm never fired";
+  EXPECT_GT(faulted.store_retries, 0u) << "no retry was needed";
+  EXPECT_EQ(faulted.store_write_errors, 0u)
+      << "a recoverable fault leaked into a write error";
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #      headers are the API reference — see ARCHITECTURE.md);
 #   2. every file path referenced by README.md / ARCHITECTURE.md exists
 #      (src|tools|bench|examples|tests/... tokens, api/... header tokens,
-#      root-level *.md and committed BENCH_*.json);
+#      root-level *.md);
 #   3. every ctest label (`-L <label>`) and every dcs_mine `--flag` the docs
 #      mention actually exists — labels against the LABELS declarations in
 #      the CMakeLists, flags against the single flag table in
@@ -54,10 +54,10 @@ for doc in "${docs[@]}"; do
     done < <(grep -ohP '(?<![/A-Za-z0-9_.-])(api|core|graph|util|gen|densest|baseline)/[A-Za-z0-9_.-]+\.(h|cc)\b' "$doc" | sort -u)
   fi
 
-  # Root-level markdown and committed bench trajectory files.
+  # Root-level markdown.
   while IFS= read -r path; do
     [ -e "$root/$path" ] || fail "$rel references missing root file $path"
-  done < <(grep -ohE '\b([A-Z][A-Z_]+\.md|BENCH_[A-Za-z0-9_]+\.json)\b' "$doc" | sort -u)
+  done < <(grep -ohE '\b[A-Z][A-Z_]+\.md\b' "$doc" | sort -u)
 done
 
 # --- 3a. ctest labels the docs name are declared ----------------------------

@@ -3,8 +3,8 @@
 #
 # Builds the tree twice — `-DDCS_SANITIZE=address` and `=thread` — in
 # dedicated build directories (so the instrumented objects never pollute the
-# default ./build) and runs the `unit`, `chaos`, `crash` and `stress` ctest
-# labels under each. One command, fail-fast per step:
+# default ./build) and runs the `unit`, `chaos`, `crash`, `stress` and
+# `examples` ctest labels under each. One command, fail-fast per step:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
 #   tools/run_sanitizers.sh address    # just one
@@ -14,7 +14,8 @@
 # The crash label fork/execs the journaled worker and kills it mid-append;
 # running it instrumented is the point — a recovery-path data race or a
 # use-after-free in the journal teardown shows up here first. The stress
-# label drives many store handles through one file's flock/append path.
+# label drives many store handles through one file's flock/append path, and
+# the examples label runs every facade program end to end.
 #
 # Env knobs: JOBS (parallel build/test width, default nproc),
 # BUILD_ROOT (where build-<sanitizer> dirs go, default the repo root).
@@ -40,7 +41,7 @@ for sanitizer in "${sanitizers[@]}"; do
   esac
 done
 
-labels='unit|chaos|crash|stress'
+labels='unit|chaos|crash|stress|examples'
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="$build_root/build-$sanitizer"
   echo "== [$sanitizer] configure -> $build_dir"
