@@ -583,16 +583,14 @@ bool MinerSession::Memoizable(const MiningRequest& request) {
          (!dispatches_ga || request.ga_solver_name == "dcsga");
 }
 
-std::string MinerSession::ResponseMemoKey(const MiningRequest& request) const {
+std::string MinerSession::ResponseMemoKey(const MiningRequest& request) {
   // Mined subgraphs do not depend on these fields (priority and deadline
   // only schedule; parallelism only reshards the seed loop), so requests
-  // differing only there share one memo slot. fast_math does change the
-  // answer, and Solve applies the session default the same way.
+  // differing only there share one memo slot.
   MiningRequest canonical = request;
   canonical.priority = 0;
   canonical.deadline_seconds = 0.0;
   canonical.ga_solver.parallelism = 0;
-  canonical.ga_solver.fast_math |= options_.fast_math;
   return JobJournal::EncodeRequest(canonical);
 }
 
@@ -633,31 +631,10 @@ ThreadPool* MinerSession::EnsurePool(size_t concurrency) {
   return pool_.get();
 }
 
-void MinerSession::FillCacheTelemetry(MiningTelemetry* telemetry) const {
-  const PipelineCacheStats stats = cache_->stats();
-  telemetry->pipeline_cache_hits = stats.hits;
-  telemetry->pipeline_cache_misses = stats.misses;
-  telemetry->pipeline_cache_bytes = stats.bytes;
-  telemetry->update_patches = num_update_patches_;
-  telemetry->update_rebuilds = num_update_rebuilds_;
-  telemetry->patched_entries_republished = num_republished_;
-  telemetry->store_hits = store_hits_;
-  telemetry->store_misses = store_misses_;
-  telemetry->store_corrupt_pages =
-      store_ != nullptr ? store_->stats().corrupt_pages : 0;
-  telemetry->store_write_errors = store_write_errors_;
-  telemetry->store_retries = store_retries_;
-  telemetry->health_state = health_;
-  telemetry->health_transitions = health_transitions_;
-  const KernelCounters kernels = KernelCountersSnapshot();
-  telemetry->kernel_simd_calls = kernels.avx2_calls;
-  telemetry->kernel_scalar_calls = kernels.scalar_calls;
-  telemetry->kernel_simd_active = ActiveKernelIsa() == KernelIsa::kAvx2;
-}
-
 HealthState MinerSession::RefreshHealth() {
   // Snapshot the attached store's failure counters into session members so
-  // the telemetry keeps reporting them after a store-offline detach.
+  // num_store_write_errors()/num_store_retries() keep reporting them after a
+  // store-offline detach.
   if (store_ != nullptr) {
     const ArtifactStoreStats stats = store_->stats();
     store_write_errors_ = stats.write_errors;
@@ -689,16 +666,6 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
                            std::span<const VertexId> warm_support,
                            ThreadPool* pool, const CancelToken* cancel,
                            MiningResponse* response) const {
-  // SessionOptions::fast_math is a session-wide default: requests that did
-  // not opt in themselves get the reassociating reduction kernels switched
-  // on via a copy, so the caller's request object stays untouched.
-  MiningRequest fast_math_request;
-  const MiningRequest* effective = &request;
-  if (options_.fast_math && !request.ga_solver.fast_math) {
-    fast_math_request = request;
-    fast_math_request.ga_solver.fast_math = true;
-    effective = &fast_math_request;
-  }
   SolverContext context;
   context.difference = &pipeline.difference;
   if (pipeline.has_ga_artifacts) {
@@ -726,7 +693,7 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
                               request.ad_solver_name + "'");
     }
     Result<std::vector<RankedSubgraph>> ranked =
-        solver(context, *effective, &response->telemetry);
+        solver(context, request, &response->telemetry);
     if (!ranked.ok()) return ranked.status();
     response->average_degree = std::move(*ranked);
   }
@@ -742,7 +709,7 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
                               request.ga_solver_name + "'");
     }
     Result<std::vector<RankedSubgraph>> ranked =
-        solver(context, *effective, &response->telemetry);
+        solver(context, request, &response->telemetry);
     if (!ranked.ok()) return ranked.status();
     response->graph_affinity = std::move(*ranked);
   }
@@ -810,8 +777,6 @@ Result<MiningResponse> MinerSession::Mine(const MiningRequest& request,
   response.telemetry.build_seconds = build_seconds;
   response.telemetry.solve_seconds = solve_timer.Seconds();
   response.telemetry.reused_cached_difference = reused;
-  response.telemetry.session_rebuilds = num_rebuilds_;
-  FillCacheTelemetry(&response.telemetry);
 
   if (request.measure != Measure::kAverageDegree &&
       !response.graph_affinity.empty()) {

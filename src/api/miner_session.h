@@ -22,7 +22,7 @@
 // Determinism: responses are pure functions of the session's graphs and the
 // request (given warm_start off); neither the thread count nor serving
 // pipelines from a shared cache changes a mined subgraph bit — only the
-// wall-time and cache-counter telemetry vary.
+// wall-time and cache-state telemetry vary.
 //
 // Scale path: a single request's NewSEA solve can shard its seed loop
 // across the session's worker pool (intra-request parallelism,
@@ -119,15 +119,6 @@ struct SessionOptions {
   /// patch path stays ahead of a rebuild well past Δ/m = 0.25; both sides
   /// of the crossover are pinned equal by StreamingUpdateEquivalenceTest.
   double patch_rebuild_ratio = 0.25;
-  /// Permit floating-point reassociation in the DCSGA reduction kernels for
-  /// every request this session serves (per-request opt-in:
-  /// MiningRequest::ga_solver.fast_math). Off (default): every solve is
-  /// bit-identical to the scalar reference kernels at every thread count
-  /// and ISA. On: the affinity reductions may use vector-lane accumulation
-  /// — results stay deterministic for a fixed (graphs, request), but are no
-  /// longer bit-identical to the default path. See core/kernels.h and the
-  /// ARCHITECTURE.md "Kernel layer" section for the exactness rules.
-  bool fast_math = false;
 };
 
 /// \brief A mining session over a pair of graphs on a fixed vertex universe.
@@ -352,8 +343,8 @@ class MinerSession {
 
   // The response-memo key of a memoizable request: its journal encoding
   // with the scheduling-only fields (priority, deadline, intra-request
-  // parallelism) zeroed and the session's fast_math default folded in.
-  std::string ResponseMemoKey(const MiningRequest& request) const;
+  // parallelism) zeroed.
+  static std::string ResponseMemoKey(const MiningRequest& request);
 
   // True when `request`'s solve path can consume the shared pool (the
   // intra-parallelism knob is set and a path exists that honors it).
@@ -377,11 +368,6 @@ class MinerSession {
   Status Solve(const PreparedPipeline& pipeline, const MiningRequest& request,
                std::span<const VertexId> warm_support, ThreadPool* pool,
                const CancelToken* cancel, MiningResponse* response) const;
-
-  // Copies the cache's hit/miss/bytes counters (and the other lifetime
-  // counters) into `telemetry`; called last, so they read *after* the
-  // request.
-  void FillCacheTelemetry(MiningTelemetry* telemetry) const;
 
   VertexId num_vertices_;
   SessionOptions options_;
@@ -409,7 +395,7 @@ class MinerSession {
   uint64_t store_misses_ = 0;
   // Degradation-ladder state (see RefreshHealth): current rung, lifetime
   // transition count, and the last observed store failure counters (kept
-  // here so telemetry survives a store-offline detach).
+  // here so the counters survive a store-offline detach).
   HealthState health_ = HealthState::kHealthy;
   uint64_t health_transitions_ = 0;
   uint64_t store_write_errors_ = 0;

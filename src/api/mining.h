@@ -4,7 +4,9 @@
 // a MiningRequest describes *what* to mine (measure, difference-graph
 // pipeline, ranking), a MinerSession (api/miner_session.h) decides *how*
 // (caching, dispatch, batching), and a MiningResponse carries the ranked
-// subgraphs plus a telemetry block. Everything below core/ is an internal
+// subgraphs plus a telemetry block of facts about that request alone (the
+// session, cache, store and journal report their lifetime counters through
+// their own accessors). Everything below core/ is an internal
 // layer; this header deliberately re-exports the few internal types a caller
 // legitimately needs (Graph, DiscretizeSpec, the DCSGA solver knobs) so that
 // consumers never include core/ or densest/ headers directly.
@@ -19,8 +21,8 @@
 // Determinism: with warm_start off, a MiningResponse is a pure function of
 // the session's graphs and the request — independent of thread counts,
 // batching, async queueing, pipeline-cache sharing and response memoization.
-// The exceptions are enumerated on MiningTelemetry (wall times, cache
-// counters, and — under intra-request parallelism — the work counters).
+// The exceptions are enumerated on MiningTelemetry (wall times, cache-state
+// flags, and — under intra-request parallelism — the work counters).
 
 #ifndef DCS_API_MINING_H_
 #define DCS_API_MINING_H_
@@ -61,8 +63,8 @@ Result<Measure> ParseMeasure(std::string_view name);
 /// kStoreOffline: failures reached SessionOptions::store_failure_threshold
 /// and the session *detached* the store — mining continues memory-only and
 /// bit-identically (results never depended on persistence), only warm-boot
-/// durability is lost. Transitions are strictly downward and counted in
-/// MiningTelemetry::health_transitions.
+/// durability is lost. Transitions are strictly downward and counted by
+/// MinerSession::num_health_transitions.
 enum class HealthState : uint8_t {
   kHealthy,
   kDegraded,
@@ -183,7 +185,14 @@ struct RankedSubgraph {
   bool positive_clique = false;
 };
 
-/// Counters and timings of one request's execution.
+/// \brief Counters and timings of one request's execution.
+///
+/// Every field is a fact about this request alone. Lifetime counters of the
+/// objects that served it live with their owners: MinerSession
+/// (num_rebuilds, num_update_patches, num_store_hits, health, ...),
+/// PipelineCache::stats, ArtifactStore::stats and MiningService
+/// (journal_stats, num_recovered_jobs, num_health_transitions, ...).
+/// Telemetry never feeds a result.
 struct MiningTelemetry {
   uint64_t initializations = 0;     ///< DCSGA seeds actually tried
   /// DCSGA candidate seeds never descended from (Theorem 6 smart-init
@@ -193,18 +202,6 @@ struct MiningTelemetry {
   uint64_t cd_iterations = 0;       ///< coordinate-descent iterations total
   uint64_t replicator_sweeps = 0;   ///< replicator baseline only
   uint32_t expansion_errors = 0;    ///< replicator baseline only
-  /// Session-lifetime difference-graph rebuild count *after* this request
-  /// (flat across requests ⇔ the cache served them).
-  uint64_t session_rebuilds = 0;
-  /// Streaming update-path counters *after* this request (session-lifetime,
-  /// deterministic): pending-update flushes folded by the O(Δ) CSR patch
-  /// path vs. by a full graph rebuild (the Δ/m crossover of
-  /// SessionOptions::patch_rebuild_ratio), and cached pipeline entries the
-  /// patch path republished under the new graph fingerprint instead of
-  /// letting post-update queries cold-miss.
-  uint64_t update_patches = 0;
-  uint64_t update_rebuilds = 0;
-  uint64_t patched_entries_republished = 0;
   /// True iff this request's difference graph came from the pipeline cache —
   /// prepared earlier by this session, or by *any* session sharing the cache
   /// (api/pipeline_cache.h).
@@ -218,60 +215,14 @@ struct MiningTelemetry {
   /// requests with warm_start off that dispatch just the builtin "dcsad" /
   /// "dcsga" solvers are memoized.
   bool response_memo_hit = false;
-  /// PipelineCache counters *after* this request. Cache-lifetime values,
-  /// shared across every session attached to the cache, so under a shared
-  /// cache they depend on which sessions got there first — like the
-  /// wall-times, they are telemetry, never part of the mined result.
-  uint64_t pipeline_cache_hits = 0;
-  uint64_t pipeline_cache_misses = 0;
-  /// Bytes resident in the pipeline cache after this request.
-  uint64_t pipeline_cache_bytes = 0;
-  /// Persistent-store counters *after* this request (all 0 when no
-  /// ArtifactStore is attached — see SessionOptions::artifact_store).
-  /// Hits/misses are session-lifetime: pipelines this session served from
-  /// disk (warm boots and lazy loads) vs. pipelines it asked the store for
-  /// and had to build. Corrupt pages are store-lifetime: record pages the
-  /// attached store rejected (bad checksum, bad framing, content-key
-  /// mismatch) and silently rebuilt over.
-  uint64_t store_hits = 0;
-  uint64_t store_misses = 0;
-  uint64_t store_corrupt_pages = 0;
-  /// Failure-domain counters *after* this request. Write errors and retries
-  /// are store-lifetime (snapshotted by the session, so they survive a
-  /// store-offline detach); the health fields are session-lifetime. All
-  /// telemetry-only: like the cache counters, they never influence mined
-  /// subgraphs — a degraded or store-offline session mines bit-identically.
-  uint64_t store_write_errors = 0;
-  uint64_t store_retries = 0;
-  HealthState health_state = HealthState::kHealthy;
-  uint64_t health_transitions = 0;
   /// True iff a warm-start seed was attempted for the DCSGA solve.
   bool warm_start_used = false;
   /// Wall time spent materializing pipeline artifacts (0 on cache hits) and
-  /// solving. Like the pipeline_cache_* counters above, non-deterministic;
-  /// every other response field is a pure function of graphs + request.
+  /// solving. Non-deterministic, like the two cache-state flags above (which
+  /// depend on what the cache held); every other response field is a pure
+  /// function of graphs + request.
   double build_seconds = 0.0;
   double solve_seconds = 0.0;
-  /// Kernel-layer dispatch counters (core/kernels.h) *after* this request,
-  /// its own solve included (a memoized response runs no kernels).
-  /// Process-lifetime (the kernel counters are shared by every session in
-  /// the process) and telemetry-only: which ISA served a kernel never
-  /// influences the mined subgraphs — the default kernels are bit-identical
-  /// across ISAs. kernel_simd_active reports whether dispatch currently
-  /// selects the AVX2 variants.
-  uint64_t kernel_simd_calls = 0;
-  uint64_t kernel_scalar_calls = 0;
-  bool kernel_simd_active = false;
-  /// Job-journal counters *after* this request (all 0 when the service runs
-  /// without MiningServiceOptions::journal_path — or outside a service).
-  /// Journal-lifetime: records appended through the service's handle, jobs
-  /// the service recovered at construction, and unreliable-tail truncation
-  /// events. Telemetry-only, like every counter above — and deliberately
-  /// *not* part of the journaled response content, so recovered responses
-  /// stay bit-identical to the mined subgraphs.
-  uint64_t journal_appends = 0;
-  uint64_t journal_recovered_jobs = 0;
-  uint64_t journal_truncations = 0;
 };
 
 /// \brief Response to one MiningRequest.

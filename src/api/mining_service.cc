@@ -230,17 +230,6 @@ void MiningService::RecoverFromJournal() {
       finished_order_.pop_front();
     }
   }
-  // Stamp the journal counters into recovered done responses, exactly as
-  // JournalDoneLocked does for freshly mined ones.
-  const JobJournalStats stats = journal_->stats();
-  for (const JobId id : recovered_job_ids_) {
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->state != JobState::kDone) continue;
-    MiningTelemetry& telemetry = it->second->response.telemetry;
-    telemetry.journal_appends = stats.appended_records;
-    telemetry.journal_recovered_jobs = recovered_job_ids_.size();
-    telemetry.journal_truncations = stats.truncations;
-  }
 }
 
 void MiningService::EnqueueRecoveredLocked(Tenant* tenant) {
@@ -296,13 +285,6 @@ void MiningService::JournalDoneLocked(const std::shared_ptr<Job>& job) {
     // Non-fatal: the job is terminal either way; the next recovery re-runs
     // it and mines the bit-identical result again.
     ++journal_append_errors_;
-  }
-  if (job->state == JobState::kDone) {
-    const JobJournalStats stats = journal_->stats();
-    MiningTelemetry& telemetry = job->response.telemetry;
-    telemetry.journal_appends = stats.appended_records;
-    telemetry.journal_recovered_jobs = recovered_job_ids_.size();
-    telemetry.journal_truncations = stats.truncations;
   }
 }
 

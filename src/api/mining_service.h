@@ -499,8 +499,7 @@ class MiningService {
   // precedes anything the caller submits afterwards. Mutex held.
   void EnqueueRecoveredLocked(Tenant* tenant);
   // Appends `job`'s Done record (no-op without a journal; failures are
-  // counted, never job-fatal) and stamps the journal telemetry counters
-  // into a kDone job's response. Mutex held.
+  // counted, never job-fatal). Mutex held.
   void JournalDoneLocked(const std::shared_ptr<Job>& job);
   // Builds the caller's snapshot; enters with `lock` held and releases it
   // before the deep response copy (terminal jobs are immutable).

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -26,69 +25,6 @@ namespace dcs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Counters: plain thread-local blocks registered with a process-wide list.
-// The hot kernels bump their own block with relaxed load+store (the owning
-// thread is the only writer, so no RMW and no cache-line ping-pong);
-// KernelCountersSnapshot sums live blocks plus the totals of exited threads.
-// Registry is a leaked singleton so thread exit after main stays safe.
-// ---------------------------------------------------------------------------
-
-enum CounterIdx : int {
-  kIdxDifferenceRows = 0,
-  kIdxDiscretizeElements,
-  kIdxClampElements,
-  kIdxAxpyElements,
-  kIdxExtremesScans,
-  kIdxSupportReductions,
-  kIdxStagedLookups,
-  kIdxAvx2Calls,
-  kIdxScalarCalls,
-  kNumCounterIdx,
-};
-
-struct CounterBlock {
-  std::atomic<uint64_t> v[kNumCounterIdx] = {};
-};
-
-struct CounterRegistry {
-  std::mutex mu;
-  std::vector<const CounterBlock*> live;
-  uint64_t retired[kNumCounterIdx] = {};
-};
-
-CounterRegistry& Registry() {
-  static CounterRegistry* registry = new CounterRegistry;
-  return *registry;
-}
-
-struct ThreadCounterBlock {
-  CounterBlock block;
-  ThreadCounterBlock() {
-    CounterRegistry& r = Registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    r.live.push_back(&block);
-  }
-  ~ThreadCounterBlock() {
-    CounterRegistry& r = Registry();
-    std::lock_guard<std::mutex> lock(r.mu);
-    for (int i = 0; i < kNumCounterIdx; ++i) {
-      r.retired[i] += block.v[i].load(std::memory_order_relaxed);
-    }
-    std::erase(r.live, &block);
-  }
-};
-
-inline CounterBlock& Tls() {
-  thread_local ThreadCounterBlock tls;
-  return tls.block;
-}
-
-inline void Bump(CounterBlock& b, CounterIdx idx, uint64_t delta) {
-  std::atomic<uint64_t>& a = b.v[idx];
-  a.store(a.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
-}
-
-// ---------------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------------
 
@@ -102,16 +38,14 @@ bool DetectAvx2() {
 #endif
 }
 
-// True when this call should take the AVX2 variant; bumps the ISA call
-// counter either way so telemetry shows which path actually served.
-inline bool UseAvx2(CounterBlock& counters) {
+#if DCS_KERNELS_X86
+// True when this call should take the AVX2 variant.
+inline bool UseAvx2() {
   const int forced = g_forced_isa.load(std::memory_order_relaxed);
-  const bool avx2 = forced >= 0
-                        ? forced == static_cast<int>(KernelIsa::kAvx2)
-                        : KernelCpuHasAvx2();
-  Bump(counters, avx2 ? kIdxAvx2Calls : kIdxScalarCalls, 1);
-  return avx2;
+  return forced >= 0 ? forced == static_cast<int>(KernelIsa::kAvx2)
+                     : KernelCpuHasAvx2();
 }
+#endif  // DCS_KERNELS_X86
 
 }  // namespace
 
@@ -144,31 +78,6 @@ void ForceKernelIsa(KernelIsa isa) {
 
 void ResetForcedKernelIsa() {
   g_forced_isa.store(-1, std::memory_order_relaxed);
-}
-
-KernelCounters KernelCountersSnapshot() {
-  CounterRegistry& r = Registry();
-  uint64_t sum[kNumCounterIdx];
-  {
-    std::lock_guard<std::mutex> lock(r.mu);
-    std::memcpy(sum, r.retired, sizeof(sum));
-    for (const CounterBlock* block : r.live) {
-      for (int i = 0; i < kNumCounterIdx; ++i) {
-        sum[i] += block->v[i].load(std::memory_order_relaxed);
-      }
-    }
-  }
-  KernelCounters out;
-  out.difference_rows = sum[kIdxDifferenceRows];
-  out.discretize_elements = sum[kIdxDiscretizeElements];
-  out.clamp_elements = sum[kIdxClampElements];
-  out.axpy_elements = sum[kIdxAxpyElements];
-  out.extremes_scans = sum[kIdxExtremesScans];
-  out.support_reductions = sum[kIdxSupportReductions];
-  out.staged_lookups = sum[kIdxStagedLookups];
-  out.avx2_calls = sum[kIdxAvx2Calls];
-  out.scalar_calls = sum[kIdxScalarCalls];
-  return out;
 }
 
 void StageAdjacencySoa(const Graph& graph, std::vector<VertexId>* targets,
@@ -230,15 +139,11 @@ __attribute__((target("avx2"))) void DiscretizeMapAvx2(
 
 void DiscretizeMapPacked(const double* in, double* out, size_t count,
                          const DiscretizeSpec& spec) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxDiscretizeElements, count);
 #if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
+  if (UseAvx2()) {
     DiscretizeMapAvx2(in, out, count, spec);
     return;
   }
-#else
-  UseAvx2(counters);
 #endif
   DiscretizeMapScalar(in, out, count, spec);
 }
@@ -295,15 +200,11 @@ __attribute__((target("avx2"))) void ClampAosAvx2(Neighbor* neighbors,
 #endif  // DCS_KERNELS_X86
 
 void ClampAosWeights(Neighbor* neighbors, size_t count, double cap) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxClampElements, count);
 #if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
+  if (UseAvx2()) {
     ClampAosAvx2(neighbors, count, cap);
     return;
   }
-#else
-  UseAvx2(counters);
 #endif
   for (size_t i = 0; i < count; ++i) {
     neighbors[i].weight = std::min(neighbors[i].weight, cap);
@@ -313,15 +214,11 @@ void ClampAosWeights(Neighbor* neighbors, size_t count, double cap) {
 }  // namespace
 
 void ClampAbovePacked(double* weights, size_t count, double cap) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxClampElements, count);
 #if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
+  if (UseAvx2()) {
     ClampAvx2(weights, count, cap);
     return;
   }
-#else
-  UseAvx2(counters);
 #endif
   ClampScalar(weights, count, cap);
 }
@@ -375,15 +272,11 @@ __attribute__((target("avx2"))) void AxpyScatterAvx2(const VertexId* targets,
 
 void AxpyScatter(const VertexId* targets, const double* weights, size_t count,
                  double delta, double* dx) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxAxpyElements, count);
 #if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
+  if (UseAvx2()) {
     AxpyScatterAvx2(targets, weights, count, delta, dx);
     return;
   }
-#else
-  UseAvx2(counters);
 #endif
   AxpyScatterScalar(targets, weights, count, delta, dx);
 }
@@ -487,15 +380,10 @@ __attribute__((target("avx2"))) bool ScanExtremesAvx2(
 bool ScanGradientExtremes(const VertexId* candidates, size_t count,
                           const double* x, const double* dx,
                           GradExtremes* out) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxExtremesScans, 1);
 #if DCS_KERNELS_X86
-  if (count >= 8 && UseAvx2(counters)) {
+  if (count >= 8 && UseAvx2()) {
     return ScanExtremesAvx2(candidates, count, x, dx, out);
   }
-  if (count < 8) Bump(counters, kIdxScalarCalls, 1);
-#else
-  UseAvx2(counters);
 #endif
   return ScanExtremesScalar(candidates, count, x, dx, out);
 }
@@ -517,11 +405,11 @@ double SupportReduceScalar(const VertexId* support, size_t count,
 }
 
 #if DCS_KERNELS_X86
-// Exact variant: the products x_v·dx_v are gathered and multiplied in
-// vectors (elementwise, one rounding each), but the accumulation replays
-// them in support order — the sum sequence is instruction-for-instruction
-// the scalar reduction, so the result is bit-identical.
-__attribute__((target("avx2"))) double SupportReduceAvx2Exact(
+// The products x_v·dx_v are gathered and multiplied in vectors
+// (elementwise, one rounding each), but the accumulation replays them in
+// support order — the sum sequence is instruction-for-instruction the
+// scalar reduction, so the result is bit-identical.
+__attribute__((target("avx2"))) double SupportReduceAvx2(
     const VertexId* support, size_t count, const double* x, const double* dx) {
   alignas(32) double prod[4];
   double f = 0.0;
@@ -543,52 +431,22 @@ __attribute__((target("avx2"))) double SupportReduceAvx2Exact(
   return f;
 }
 
-// Reassociating variant (fast_math only): four running lanes, folded in a
-// fixed order, then the tail in order — deterministic for a given support
-// sequence (so still thread-count invariant), but not bit-identical to the
-// ordered sum.
-__attribute__((target("avx2"))) double SupportReduceAvx2Reassoc(
-    const VertexId* support, size_t count, const double* x, const double* dx) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(support + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_i32gather_pd(x, idx, 8),
-                                           _mm256_i32gather_pd(dx, idx, 8)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double f = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  for (; i < count; ++i) {
-    const VertexId v = support[i];
-    f += x[v] * dx[v];
-  }
-  return f;
-}
 #endif  // DCS_KERNELS_X86
 
 }  // namespace
 
 double SupportReduce(const VertexId* support, size_t count, const double* x,
-                     const double* dx, bool allow_reassociation) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxSupportReductions, 1);
+                     const double* dx) {
 #if DCS_KERNELS_X86
-  if (count >= 8 && UseAvx2(counters)) {
-    return allow_reassociation ? SupportReduceAvx2Reassoc(support, count, x, dx)
-                               : SupportReduceAvx2Exact(support, count, x, dx);
+  if (count >= 8 && UseAvx2()) {
+    return SupportReduceAvx2(support, count, x, dx);
   }
-  if (count < 8) Bump(counters, kIdxScalarCalls, 1);
-#else
-  UseAvx2(counters);
 #endif
   return SupportReduceScalar(support, count, x, dx);
 }
 
 double StagedRowLookup(const VertexId* targets, const double* weights,
                        size_t count, VertexId v) {
-  Bump(Tls(), kIdxStagedLookups, 1);
   const VertexId* end = targets + count;
   const VertexId* it = std::lower_bound(targets, end, v);
   if (it == end || *it != v) return 0.0;
@@ -598,17 +456,14 @@ double StagedRowLookup(const VertexId* targets, const double* weights,
 void SeedOrderSort(const std::vector<double>& mu,
                    std::vector<VertexId>* order) {
   const size_t n = mu.size();
-  CounterBlock& counters = Tls();
   order->resize(n);
   if (ActiveKernelIsa() == KernelIsa::kScalar) {
-    Bump(counters, kIdxScalarCalls, 1);
     std::iota(order->begin(), order->end(), VertexId{0});
     std::sort(order->begin(), order->end(), [&mu](VertexId a, VertexId b) {
       return mu[a] != mu[b] ? mu[a] > mu[b] : a < b;
     });
     return;
   }
-  Bump(counters, kIdxAvx2Calls, 1);
   // Pack each mu into a key whose unsigned ascending order is exactly
   // "descending mu": collapse −0 to +0, sign-flip the IEEE bits into a
   // monotone unsigned integer, complement. Equal mu ⇔ equal key, so a
@@ -725,9 +580,6 @@ Result<Graph> GraphKernels::BuildDifferenceGraph(const Graph& g1,
     return Status::InvalidArgument("alpha must be finite and positive");
   }
   const VertexId n = g1.NumVertices();
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxDifferenceRows, n);
-  Bump(counters, kIdxScalarCalls, 1);
   // Single merge pass emitting the symmetric CSR directly. Both directions
   // of an edge compute d from the same operand bits (undirected rows store
   // the same weight both ways), so the rows come out mirror-identical, and
@@ -803,8 +655,6 @@ Result<Graph> GraphKernels::DiscretizeWeights(const Graph& gd,
 
 Graph GraphKernels::PositivePart(const Graph& gd) {
   const VertexId n = gd.NumVertices();
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxScalarCalls, 1);
   // Branchless single-pass compaction: every neighbor is written, the write
   // cursor only advances past the kept ones. Keep rule and order match the
   // reference exactly, so the CSR comes out bit-identical.

@@ -4,14 +4,12 @@
 // and the support reduction — behind one runtime ISA dispatcher.
 //
 // Exactness contract (the ROADMAP float-reassociation rule):
-//  * Every kernel's default path is *bit-identical* to the scalar reference
-//    it replaced, on every ISA and at every thread count. Elementwise work
+//  * Every kernel is *bit-identical* to the scalar reference it replaced,
+//    on every ISA and at every thread count. Elementwise work
 //    (compare/select discretize, min-clamp, per-edge multiplies, the
 //    strict-first-wins extremes scan) vectorizes exactly; anything that
-//    would reassociate a floating-point sum does not vectorize by default.
-//  * Reassociating variants exist only for the reductions and only behind
-//    an explicit opt-in (DcsgaOptions::fast_math / SessionOptions::
-//    fast_math, default off), with their own tolerance tests.
+//    would reassociate a floating-point sum does not vectorize: reductions
+//    vectorize only their elementwise products and replay the sum in order.
 //  * No FMA contraction anywhere: the SIMD paths use explicit mul/add
 //    intrinsics and the build sets -ffp-contract=off, so -DDCS_NATIVE
 //    cannot silently fuse the scalar reference either.
@@ -20,10 +18,6 @@
 // (no global -mavx2 needed) and selected at runtime via CPUID; tests and
 // benches can pin the ISA with ForceKernelIsa. The -DDCS_NATIVE CMake
 // toggle additionally compiles the whole library with -march=native.
-//
-// Counters: every kernel bumps thread-local work counters (aggregated
-// process-wide by KernelCountersSnapshot) that the api/ layer surfaces as
-// MiningTelemetry kernel fields. Telemetry only — never part of a result.
 
 #ifndef DCS_CORE_KERNELS_H_
 #define DCS_CORE_KERNELS_H_
@@ -61,26 +55,6 @@ void ForceKernelIsa(KernelIsa isa);
 
 /// Returns dispatch to automatic CPU detection.
 void ResetForcedKernelIsa();
-
-/// \brief Process-lifetime kernel work counters, summed over all threads.
-///
-/// Element counts tally the work each kernel family processed; the
-/// avx2_calls / scalar_calls pair splits kernel invocations by the ISA that
-/// served them. Monotone; sample before/after a region to attribute work.
-struct KernelCounters {
-  uint64_t difference_rows = 0;      ///< rows merged by the difference build
-  uint64_t discretize_elements = 0;  ///< weights pushed through the map
-  uint64_t clamp_elements = 0;       ///< weights pushed through the clamp
-  uint64_t axpy_elements = 0;        ///< edge visits in dx accumulation
-  uint64_t extremes_scans = 0;       ///< gradient-extremes scans
-  uint64_t support_reductions = 0;   ///< support-sum reductions
-  uint64_t staged_lookups = 0;       ///< staged-row edge-weight lookups
-  uint64_t avx2_calls = 0;           ///< kernel calls served by AVX2 code
-  uint64_t scalar_calls = 0;         ///< kernel calls served by scalar code
-};
-
-/// Sums the per-thread counter blocks (live threads + exited ones).
-KernelCounters KernelCountersSnapshot();
 
 /// \brief Structure-of-arrays staging of a CSR adjacency: `targets` and
 /// `weights` hold the same entries as the Graph's Neighbor array, row order
@@ -125,15 +99,10 @@ bool ScanGradientExtremes(const VertexId* candidates, size_t count,
                           const double* x, const double* dx,
                           GradExtremes* out);
 
-/// \brief f = Σ_i x[support[i]] · dx[support[i]].
-///
-/// With `allow_reassociation` false (the default everywhere), the sum runs
-/// in support order with one rounding per term — bit-identical on every
-/// ISA. True permits the 4-lane vector accumulation (deterministic for a
-/// fixed count, but not bit-identical to the ordered sum); callers gate it
-/// behind DcsgaOptions::fast_math.
+/// \brief f = Σ_i x[support[i]] · dx[support[i]], summed in support order
+/// with one rounding per term — bit-identical on every ISA.
 double SupportReduce(const VertexId* support, size_t count, const double* x,
-                     const double* dx, bool allow_reassociation);
+                     const double* dx);
 
 /// \brief Binary search of `v` in a sorted staged row; returns the paired
 /// weight or 0.0 when absent. Identical to Graph::EdgeWeight on the same

@@ -33,9 +33,7 @@ uint64_t HashMembers(const std::vector<VertexId>& members) {
 class MultiInitDriver {
  public:
   MultiInitDriver(const Graph& gd_plus, const DcsgaOptions& options)
-      : gd_plus_(gd_plus), options_(options), state_(gd_plus) {
-    state_.set_fast_math(options.fast_math);
-  }
+      : gd_plus_(gd_plus), options_(options), state_(gd_plus) {}
 
   // Runs one initialization from e_seed: Shrink/Expand then Refinement.
   // Updates the running best and (optionally) the clique collection.
@@ -154,7 +152,6 @@ DcsgaResult RunNewSeaSharded(const Graph& gd_plus,
   pool->RunTasks(shards, [&](size_t shard) {
     ShardState& local = locals[shard];
     AffinityState state(gd_plus);
-    state.set_fast_math(inner.fast_math);
     while (!exhausted.load(std::memory_order_relaxed)) {
       // Cooperative cancellation, polled once per seed chunk: shards stop
       // claiming work and the caller reports Status::Cancelled. On an

@@ -79,14 +79,6 @@ struct DcsgaOptions {
   /// in a way that affects results — an uncancelled run stays bit-identical.
   /// Not owned; must outlive the solve. nullptr = not cancellable.
   const CancelToken* cancel = nullptr;
-  /// Permit floating-point reassociation in the affinity reduction kernels
-  /// (core/kernels.h SupportReduce). Off (default): every solve is
-  /// bit-identical to the scalar reference kernels at every thread count
-  /// and ISA. On: reductions may use vector-lane accumulation — still
-  /// deterministic for a fixed graph and seed (per-seed arithmetic does not
-  /// depend on thread timing), but no longer bit-identical to the default
-  /// path. Plumbed from SessionOptions::fast_math by the api/ facade.
-  bool fast_math = false;
 };
 
 /// Result of a multi-initialization DCSGA solve.

@@ -76,8 +76,8 @@ struct ArtifactStoreStats {
   uint64_t corrupt_pages = 0;
   /// Records appended through this handle (sync and async).
   uint64_t appended_records = 0;
-  /// Loads served (LoadGraph/LoadPipeline/warm boots) and loads that found
-  /// no valid record.
+  /// Load attempts (LoadGraph/LoadPipeline/warm boots), and the attempts
+  /// that found no valid record; loads - load_misses were served.
   uint64_t loads = 0;
   uint64_t load_misses = 0;
   /// Async write-backs that failed after exhausting the retry budget. Never

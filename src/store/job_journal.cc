@@ -149,6 +149,12 @@ bool ParseRanking(std::span<const uint8_t> bytes, size_t* cursor,
   return true;
 }
 
+// Request flag byte 7 is reserved. It once carried the removed fast_math
+// option (a reassociating affinity reduction); it is written as 0, and a 0
+// or 1 read back is ignored, so journals that set it still replay — their
+// recovered jobs now mine the exact, bit-identical answer.
+constexpr uint8_t kReservedRequestFlag = 0;
+
 }  // namespace
 
 // ---- request / response images ---------------------------------------------
@@ -165,7 +171,7 @@ std::string JobJournal::EncodeRequest(const MiningRequest& request) {
       static_cast<uint8_t>(request.warm_start ? 1 : 0),
       static_cast<uint8_t>(request.ga_solver.collect_cliques ? 1 : 0),
       static_cast<uint8_t>(request.ga_solver.assume_nonnegative ? 1 : 0),
-      static_cast<uint8_t>(request.ga_solver.fast_math ? 1 : 0)};
+      kReservedRequestFlag};
   out.append(reinterpret_cast<const char*>(flags), sizeof(flags));
   if (request.discretize) {
     AppendDoubleBits(request.discretize->strong_pos, &out);
@@ -244,7 +250,7 @@ Result<MiningRequest> JobJournal::DecodeRequest(
   request.warm_start = flags[4] != 0;
   request.ga_solver.collect_cliques = flags[5] != 0;
   request.ga_solver.assume_nonnegative = flags[6] != 0;
-  request.ga_solver.fast_math = flags[7] != 0;
+  // flags[7] is reserved (see kReservedRequestFlag): validated above, ignored.
   uint32_t shrink = 0, priority_bits = 0;
   DcsgaOptions& ga = request.ga_solver;
   if (!ReadU32(bytes, &cursor, &request.top_k) ||

@@ -2,11 +2,12 @@
 # dcs_store CLI check (ctest `dcs_store_cli`, label unit).
 #
 # Mines a tiny edge-list pair with `dcs_mine --store --journal` to produce a
-# real artifact store and job journal, then pins the dcs_store exit-code
-# contract: 0 for fsck / journal fsck / stat / ls on the fresh files, 1 for
-# fsck once one payload byte is flipped, 2 on bad usage. Also pins the
-# dcs_mine usage paths: a missing value, an unknown flag and an invalid
-# number all exit 2.
+# real artifact store and job journal, then mines again over the same files:
+# the `# store:` line must report no hit on the first run and a hit on the
+# second, and the `# journal:` line appends and the recovered first job. Then pins the dcs_store exit-code contract: 0 for
+# fsck / journal fsck / stat / ls on the fresh files, 1 for fsck once one
+# payload byte is flipped, 2 on bad usage. Also pins the dcs_mine usage
+# paths: a missing value, an unknown flag and an invalid number all exit 2.
 #
 # Usage: dcs_store_cli_test.sh <dcs_mine> <dcs_store> <work-dir>
 
@@ -33,6 +34,37 @@ if ! "$mine" --g1 "$dir/g1.el" --g2 "$dir/g2.el" --measure both \
   echo "dcs_store_cli: dcs_mine failed:" >&2
   cat "$dir/mine.out" >&2
   exit 1
+fi
+
+# The first run found an empty store; the second warm-boots from it and
+# recovers the first run's job from the journal. The counters come from the
+# store and the service.
+first_hits=$(sed -n 's/^# store: \([0-9]*\) hits .*/\1/p' "$dir/mine.out")
+if [ "$first_hits" != "0" ]; then
+  echo "dcs_store_cli: first run over an empty store reports" \
+       "'$first_hits' store hits, expected 0:" >&2
+  cat "$dir/mine.out" >&2
+  status=1
+fi
+if ! "$mine" --g1 "$dir/g1.el" --g2 "$dir/g2.el" --measure both \
+     --store "$store" --journal "$journal" > "$dir/rerun.out" 2>&1; then
+  echo "dcs_store_cli: dcs_mine re-run failed:" >&2
+  cat "$dir/rerun.out" >&2
+  exit 1
+fi
+store_hits=$(sed -n 's/^# store: \([0-9]*\) hits .*/\1/p' "$dir/rerun.out")
+journal_appends=$(sed -n 's/^# journal: \([0-9]*\) appends, .*/\1/p' \
+  "$dir/rerun.out")
+journal_recovered=$(sed -n \
+  's/^# journal: [0-9]* appends, \([0-9]*\) recovered jobs.*/\1/p' \
+  "$dir/rerun.out")
+if [ "${store_hits:-0}" -lt 1 ] || [ "${journal_appends:-0}" -lt 1 ] ||
+   [ "${journal_recovered:-0}" -lt 1 ]; then
+  echo "dcs_store_cli: re-run reports store hits '$store_hits'," \
+       "journal appends '$journal_appends', recovered" \
+       "'$journal_recovered'; expected >= 1 each:" >&2
+  cat "$dir/rerun.out" >&2
+  status=1
 fi
 
 # expect <exit code> <dcs_store args...>
@@ -88,6 +120,7 @@ expect_mine() {
 pair=(--g1 "$dir/g1.el" --g2 "$dir/g2.el")
 expect_mine 2 "flag '--g1' is missing its <edge-list> value" --g1
 expect_mine 2 "unknown flag '--shared-cache'" "${pair[@]}" --shared-cache 4
+expect_mine 2 "unknown flag '--fast-math'" "${pair[@]}" --fast-math
 expect_mine 2 "--topk must be >= 1" "${pair[@]}" --topk 0
 expect_mine 2 "invalid numeric value for --alpha: 'foo'" "${pair[@]}" \
   --alpha foo
@@ -107,7 +140,8 @@ expect 2 stat --quiet "$store"
 expect 2 journal ls "$journal" extra
 
 if [ "$status" -eq 0 ]; then
-  echo "dcs_store_cli OK: exit codes 0 clean, 1 corrupt, 2 usage;" \
+  echo "dcs_store_cli OK: re-run reports store hits and journal" \
+       "recovery; exit codes 0 clean, 1 corrupt, 2 usage;" \
        "dcs_mine usage errors exit 2"
 fi
 exit "$status"

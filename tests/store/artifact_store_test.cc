@@ -233,12 +233,14 @@ MiningRequest StandardRequest() {
 }
 
 // Mines `request` in a fresh session, optionally store-attached; returns
-// the response and (via out-params) the session's store counters.
+// the response and (via out-params) the session's store hits and misses
+// and the store handle's corrupt-page count.
 MiningResponse MineOnce(const CoauthorData& data,
                         const MiningRequest& request,
                         std::shared_ptr<ArtifactStore> store,
                         uint64_t* hits = nullptr,
-                        uint64_t* misses = nullptr) {
+                        uint64_t* misses = nullptr,
+                        uint64_t* corrupt_pages = nullptr) {
   SessionOptions options;
   options.artifact_store = std::move(store);
   Result<MinerSession> session =
@@ -250,6 +252,9 @@ MiningResponse MineOnce(const CoauthorData& data,
   if (misses != nullptr) *misses = session->num_store_misses();
   if (session->artifact_store() != nullptr) {
     session->artifact_store()->Flush();
+    if (corrupt_pages != nullptr) {
+      *corrupt_pages = session->artifact_store()->stats().corrupt_pages;
+    }
   }
   return std::move(response).value();
 }
@@ -263,21 +268,19 @@ TEST(ArtifactStoreSessionTest, StoreWarmedEqualsColdBuilt) {
   const MiningResponse cold = MineOnce(data, request, nullptr);
 
   // First store-attached run: a miss that writes the pipeline back.
-  uint64_t hits = 0, misses = 0;
+  uint64_t hits = 0, misses = 0, corrupt_pages = 0;
   const MiningResponse first =
       MineOnce(data, request, OpenOrDie(path), &hits, &misses);
   EXPECT_EQ(hits, 0u);
   EXPECT_GE(misses, 1u);
-  EXPECT_EQ(first.telemetry.store_misses, misses);
 
   // Second run on a fresh handle: the warm boot serves the pipeline from
   // disk — and the response must be bit-identical to the cold build.
-  const MiningResponse warmed =
-      MineOnce(data, request, OpenOrDie(path), &hits, &misses);
+  const MiningResponse warmed = MineOnce(data, request, OpenOrDie(path),
+                                        &hits, &misses, &corrupt_pages);
   EXPECT_GE(hits, 1u);
   EXPECT_EQ(misses, 0u);
-  EXPECT_GE(warmed.telemetry.store_hits, 1u);
-  EXPECT_EQ(warmed.telemetry.store_corrupt_pages, 0u);
+  EXPECT_EQ(corrupt_pages, 0u);
 
   EXPECT_EQ(SerializeSubgraphs(cold), SerializeSubgraphs(first));
   EXPECT_EQ(SerializeSubgraphs(cold), SerializeSubgraphs(warmed));
@@ -308,19 +311,21 @@ TEST(ArtifactStoreSessionTest, MiningServiceAttachesStore) {
   store->Flush();
   EXPECT_GE(store->stats().pipeline_records, 1u);
 
-  // A fresh service over the same store warm-boots and reports the hit.
+  // A fresh service over the same store warm-boots: the store serves it.
   {
     Result<MinerSession> session = MinerSession::Create(data.g1, data.g2);
     ASSERT_TRUE(session.ok());
     MiningServiceOptions options;
-    options.artifact_store = OpenOrDie(path);
+    auto reopened = OpenOrDie(path);
+    options.artifact_store = reopened;
     MiningService service(std::move(*session), options);
     Result<JobId> job = service.Submit(request);
     ASSERT_TRUE(job.ok());
     Result<JobStatus> status = service.Wait(*job);
     ASSERT_TRUE(status.ok());
     ASSERT_EQ(status->state, JobState::kDone);
-    EXPECT_GE(status->response.telemetry.store_hits, 1u);
+    const ArtifactStoreStats stats = reopened->stats();
+    EXPECT_GE(stats.loads - stats.load_misses, 1u);
     EXPECT_EQ(SerializeSubgraphs(cold),
               SerializeSubgraphs(status->response));
   }
@@ -358,13 +363,13 @@ void ExpectRecoversFromCorruption(
 
   corrupt(path);
 
-  uint64_t hits = 0, misses = 0;
-  const MiningResponse recovered =
-      MineOnce(data, request, OpenOrDie(path), &hits, &misses);
+  uint64_t hits = 0, misses = 0, corrupt_pages = 0;
+  const MiningResponse recovered = MineOnce(data, request, OpenOrDie(path),
+                                            &hits, &misses, &corrupt_pages);
   EXPECT_EQ(SerializeSubgraphs(cold), SerializeSubgraphs(recovered));
   EXPECT_GE(misses, 1u) << "corrupt store should force a rebuild";
   if (expect_corrupt_pages) {
-    EXPECT_GE(recovered.telemetry.store_corrupt_pages, 1u);
+    EXPECT_GE(corrupt_pages, 1u);
   }
 
   // The rebuild-and-overwrite pass must leave a clean store...

@@ -2,8 +2,9 @@
 // append-then-reopen cycle, Replay's exactly-once fold, and the trust
 // model — a torn tail and a flipped bit must read as absent, be counted,
 // and converge back to fsck-clean via tail truncation. On a real service:
-// durable admission costs < 5% of a storm's wall, and a recovered backlog
-// mines exactly what synchronous calls mine.
+// durable admission costs < 5% of a storm's wall, a recovered backlog
+// mines exactly what synchronous calls mine, and a journal whose request
+// sets the reserved flag byte still replays.
 
 #include "store/job_journal.h"
 
@@ -21,7 +22,10 @@
 #include "api/mining.h"
 #include "api/mining_service.h"
 #include "gen/coauthor.h"
+#include "store/record_log.h"
 #include "test_util.h"
+#include "util/byte_codec.h"
+#include "util/fault_injection.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -504,6 +508,62 @@ TEST(JobJournalTest, RecoveredBacklogMinesLikeSynchronousCalls) {
   Result<JobJournalStats> stats = service.journal_stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GE(stats->appended_records, 2 * kDepth);
+}
+
+// Request flag byte 7 once carried the fast_math option (a reassociating
+// affinity reduction, since removed) and is reserved now: an image with it
+// set decodes to the same request as one with it clear, and a journal that
+// holds such an image replays into a job mining the exact answer.
+TEST(JobJournalTest, ReservedFlagByteSevenStillReplays) {
+  constexpr size_t kFlagSeven = 4 + 8 + 7;  // u32 measure, f64 alpha, flags
+  const MiningRequest request = StormRequest(0);
+  const std::string clean = JobJournal::EncodeRequest(request);
+  ASSERT_EQ(clean[kFlagSeven], 0);
+  std::string legacy = clean;
+  legacy[kFlagSeven] = 1;
+  Result<MiningRequest> decoded = JobJournal::DecodeRequest(AsBytes(legacy));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(JobJournal::EncodeRequest(*decoded), clean);
+  std::string invalid = clean;
+  invalid[kFlagSeven] = 2;
+  EXPECT_FALSE(JobJournal::DecodeRequest(AsBytes(invalid)).ok());
+
+  // Frame the legacy image as an Admitted record, byte for byte what
+  // JobJournal::AppendAdmitted wrote when the flag was live. The format
+  // mirrors the journal's own (store/job_journal.cc kJournalFormat).
+  const std::string path = JournalPath("reserved_flag");
+  std::filesystem::remove(path);
+  {
+    const RecordLogFormat journal_format = {
+        "job journal", 0x314C4E524A534344ull, JobJournal::kFormatVersion,
+        JobJournal::kDoneRecord};
+    Result<RecordLog> log =
+        RecordLog::Open(path, journal_format, /*create_if_missing=*/true);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    log->Scan();
+    std::string payload;
+    AppendU64(/*job_id=*/1, &payload);
+    AppendU32(/*tenant=*/0, &payload);
+    AppendU64(/*admission_index=*/1, &payload);
+    payload += legacy;
+    ASSERT_TRUE(log->Append(JobJournal::kAdmittedRecord, 1, payload,
+                            fault_sites::kJournalAppend)
+                    .ok());
+    ASSERT_TRUE(log->Sync().ok());
+  }
+
+  const CoauthorData data = StormPair();
+  MiningServiceOptions options;
+  options.journal_path = path;
+  MiningService service(options);
+  ASSERT_EQ(service.recovered_jobs(), std::vector<JobId>{1});
+  ASSERT_TRUE(service.AddTenant(MustSession(data)).ok());
+  service.Drain();
+  Result<JobStatus> status = service.Poll(1);
+  ASSERT_TRUE(status.ok()) << status.status().ToString();
+  ASSERT_EQ(status->state, JobState::kDone);
+  EXPECT_EQ(::dcs::testing::SerializeSubgraphs(status->response) + "#",
+            SynchronousAnswers(data, 1));
 }
 
 }  // namespace

@@ -54,13 +54,12 @@ inline std::string SerializeDeterministic(const MiningResponse& response) {
   std::string out = SerializeSubgraphs(response);
   char buf[96];
   std::snprintf(
-      buf, sizeof(buf), "T:%llu,%llu,%llu,%llu,%u,%llu,%d,%d",
+      buf, sizeof(buf), "T:%llu,%llu,%llu,%llu,%u,%d,%d",
       static_cast<unsigned long long>(response.telemetry.initializations),
       static_cast<unsigned long long>(response.telemetry.pruned_seeds),
       static_cast<unsigned long long>(response.telemetry.cd_iterations),
       static_cast<unsigned long long>(response.telemetry.replicator_sweeps),
       response.telemetry.expansion_errors,
-      static_cast<unsigned long long>(response.telemetry.session_rebuilds),
       response.telemetry.reused_cached_difference ? 1 : 0,
       response.telemetry.warm_start_used ? 1 : 0);
   out += buf;

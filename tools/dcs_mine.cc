@@ -28,6 +28,7 @@
 #include <mutex>
 
 #include "api/artifact_store.h"
+#include "api/job_journal.h"
 #include "api/miner_session.h"
 #include "api/mining.h"
 #include "api/mining_service.h"
@@ -81,8 +82,6 @@ constexpr FlagSpec kFlagTable[] = {
      "arm deterministic fault injection, e.g. store.append:every=2,times=3 "
      "(site list below; keys: every after times prob seed delay_ms fail "
      "crash; ';' separates specs)"},
-    {"--fast-math", "",
-     "allow reassociating SIMD reduction kernels (default: bit-exact)"},
     {"--quiet", "", "print only the result lines"},
     {"--help", "", "print this flag reference and exit"},
 };
@@ -101,7 +100,6 @@ struct Args {
   std::string journal_path;       // empty = no job journal
   double deadline_seconds = 0.0;  // 0 = no deadline
   std::string inject_spec;        // empty = fault injection disarmed
-  bool fast_math = false;
   bool quiet = false;
   bool help = false;
 };
@@ -225,8 +223,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->discrete = true;
     } else if (flag == "--flip") {
       args->flip = true;
-    } else if (flag == "--fast-math") {
-      args->fast_math = true;
     } else if (flag == "--quiet") {
       args->quiet = true;
     } else if (flag == "--help") {
@@ -282,18 +278,46 @@ bool SameRanking(const std::vector<RankedSubgraph>& a,
   return true;
 }
 
+// Lifetime counters of the session or service that ran the request, read
+// from their owners before those go out of scope.
+struct RunCounters {
+  bool have_health = false;
+  HealthState health = HealthState::kHealthy;
+  uint64_t health_transitions = 0;
+  uint64_t store_write_errors = 0;
+  uint64_t store_retries = 0;
+  bool have_journal = false;  // a journal was configured and opened
+  JobJournalStats journal;
+  uint64_t recovered_jobs = 0;
+};
+
+RunCounters ReadCounters(const MiningService& service) {
+  RunCounters counters;
+  counters.have_health = true;
+  counters.health = service.health();
+  counters.health_transitions = service.num_health_transitions();
+  counters.store_write_errors = service.num_store_write_errors();
+  counters.store_retries = service.num_store_retries();
+  Result<JobJournalStats> journal = service.journal_stats();
+  if (journal.ok()) {
+    counters.have_journal = true;
+    counters.journal = *journal;
+    counters.recovered_jobs = service.num_recovered_jobs();
+  }
+  return counters;
+}
+
 // The --tenants path: n tenants over copies of the same graphs, scheduled
 // by one multi-tenant MiningService sharing two executors, a worker pool
 // and a pipeline cache. The request is submitted to every tenant at
 // staggered priorities; every response must be bit-identical (priority
 // reorders dispatch between tenants, never results). Returns tenant 0's
-// response, or an error status. Health telemetry is reported through the
-// out-params, mirroring the --async path.
+// response, or an error status. The service's counters are read into
+// `counters`, mirroring the --async path.
 Result<MiningResponse> MineMultiTenant(
     const Args& args, const Graph& g1, const Graph& g2,
     const MiningRequest& request, const std::shared_ptr<ArtifactStore>& store,
-    HealthState* health, uint64_t* health_transitions,
-    uint64_t* store_write_errors, uint64_t* store_retries) {
+    RunCounters* counters) {
   const uint32_t n = args.tenants;
   MiningServiceOptions options;
   options.num_executors = 2;
@@ -359,10 +383,7 @@ Result<MiningResponse> MineMultiTenant(
           stats->virtual_time, stats->max_queue_seconds * 1e3);
     }
   }
-  *health = service.health();
-  *health_transitions = service.num_health_transitions();
-  *store_write_errors = service.num_store_write_errors();
-  *store_retries = service.num_store_retries();
+  *counters = ReadCounters(service);
   return std::move(responses[0]);
 }
 
@@ -409,9 +430,6 @@ int main(int argc, char** argv) {
   // path wraps its own CancelToken below (Mine ignores the field).
   request.deadline_seconds = args.deadline_seconds;
   if (args.discrete) request.discretize = DiscretizeSpec{};
-  // Per-request opt-in reaches every mode (single, --async, --tenants)
-  // through the one MiningRequest they all share.
-  request.ga_solver.fast_math = args.fast_math;
 
   // Open (or create) the persistent store before any session exists, so
   // every mode warm-boots from it and writes built pipelines back.
@@ -428,21 +446,15 @@ int main(int argc, char** argv) {
     store = std::move(*opened);
   }
 
-  // Failure-domain telemetry gathered by whichever mode ran, printed with
-  // the other `#` lines below (the sources — session or service — go out of
-  // scope before then).
-  HealthState health = HealthState::kHealthy;
-  uint64_t health_transitions = 0;
-  uint64_t store_write_errors = 0;
-  uint64_t store_retries = 0;
-  bool have_health = false;
+  // Counters gathered by whichever mode ran, printed with the other `#`
+  // lines below (the sources — session or service — go out of scope before
+  // then).
+  RunCounters counters;
   int exit_code = 0;
 
   Result<MiningResponse> response = Status::Internal("not mined");
   if (args.tenants > 0) {
-    response = MineMultiTenant(args, *g1, *g2, request, store, &health,
-                               &health_transitions, &store_write_errors,
-                               &store_retries);
+    response = MineMultiTenant(args, *g1, *g2, request, store, &counters);
     if (!response.ok()) {
       if (response.status().IsDeadlineExceeded()) {
         std::fprintf(stderr, "mining failed: %s\n",
@@ -453,7 +465,6 @@ int main(int argc, char** argv) {
                    response.status().ToString().c_str());
       return 1;
     }
-    have_health = true;
   } else {
     SessionOptions session_options;
     session_options.artifact_store = store;
@@ -529,11 +540,7 @@ int main(int argc, char** argv) {
         // so timeout-retry wrappers can tell them apart.
         return final_status->failure.IsDeadlineExceeded() ? 3 : 1;
       }
-      health = service.health();
-      health_transitions = service.num_health_transitions();
-      store_write_errors = service.num_store_write_errors();
-      store_retries = service.num_store_retries();
-      have_health = true;
+      counters = ReadCounters(service);
       response = std::move(final_status->response);
     } else if (args.deadline_seconds > 0.0) {
       // Synchronous deadline: Mine ignores request.deadline_seconds (no
@@ -586,26 +593,15 @@ int main(int argc, char** argv) {
         }
         session->RefreshHealth();
       }
-      health = session->health();
-      health_transitions = session->num_health_transitions();
-      store_write_errors = session->num_store_write_errors();
-      store_retries = session->num_store_retries();
-      have_health = true;
+      counters.have_health = true;
+      counters.health = session->health();
+      counters.health_transitions = session->num_health_transitions();
+      counters.store_write_errors = session->num_store_write_errors();
+      counters.store_retries = session->num_store_retries();
     }
   }
 
   if (!args.quiet) {
-    // Streaming update-path counters (api/mining.h MiningTelemetry): zero in
-    // this one-shot CLI unless the session streamed updates, but printed so
-    // service logs piping through the same formatter surface the patched vs
-    // rebuilt split.
-    const MiningTelemetry& telemetry = response->telemetry;
-    std::printf("# update path: %llu patched flushes, %llu full rebuilds, "
-                "%llu pipeline entries republished\n",
-                static_cast<unsigned long long>(telemetry.update_patches),
-                static_cast<unsigned long long>(telemetry.update_rebuilds),
-                static_cast<unsigned long long>(
-                    telemetry.patched_entries_republished));
     if (store != nullptr) {
       // Settle async write-backs so the stats are final; a failed write-back
       // surfaces here (and in the health line) instead of vanishing.
@@ -614,9 +610,9 @@ int main(int argc, char** argv) {
       std::printf(
           "# store: %llu hits / %llu misses, %llu corrupt pages, "
           "%llu graph + %llu pipeline records, %llu bytes (%s)\n",
-          static_cast<unsigned long long>(telemetry.store_hits),
-          static_cast<unsigned long long>(telemetry.store_misses),
-          static_cast<unsigned long long>(telemetry.store_corrupt_pages),
+          static_cast<unsigned long long>(stats.loads - stats.load_misses),
+          static_cast<unsigned long long>(stats.load_misses),
+          static_cast<unsigned long long>(stats.corrupt_pages),
           static_cast<unsigned long long>(stats.graph_records),
           static_cast<unsigned long long>(stats.pipeline_records),
           static_cast<unsigned long long>(stats.file_bytes),
@@ -626,25 +622,23 @@ int main(int argc, char** argv) {
                     settled.ToString().c_str());
       }
     }
-    if (!args.journal_path.empty()) {
-      // Journal counters travel in MiningTelemetry (stamped by the service
-      // when the job finished), so this line needs no live service handle.
+    if (counters.have_journal) {
       std::printf(
           "# journal: %llu appends, %llu recovered jobs, %llu truncations "
           "(%s)\n",
-          static_cast<unsigned long long>(telemetry.journal_appends),
-          static_cast<unsigned long long>(telemetry.journal_recovered_jobs),
-          static_cast<unsigned long long>(telemetry.journal_truncations),
+          static_cast<unsigned long long>(counters.journal.appended_records),
+          static_cast<unsigned long long>(counters.recovered_jobs),
+          static_cast<unsigned long long>(counters.journal.truncations),
           args.journal_path.c_str());
     }
-    if (have_health) {
+    if (counters.have_health) {
       std::printf(
           "# health: %s (%llu transitions, %llu store write errors, "
           "%llu io retries)\n",
-          HealthStateToString(health),
-          static_cast<unsigned long long>(health_transitions),
-          static_cast<unsigned long long>(store_write_errors),
-          static_cast<unsigned long long>(store_retries));
+          HealthStateToString(counters.health),
+          static_cast<unsigned long long>(counters.health_transitions),
+          static_cast<unsigned long long>(counters.store_write_errors),
+          static_cast<unsigned long long>(counters.store_retries));
     }
     if (!args.inject_spec.empty()) {
       std::printf("# inject: %llu faults fired\n",
