@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "api/solver_registry.h"
-#include "core/kernels.h"
 #include "core/newsea.h"
 #include "store/artifact_store.h"
 #include "store/job_journal.h"
@@ -519,28 +518,24 @@ Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
       MaterializeBaseGraphs();
       const Graph& first = request.flip ? g2_ : g1_;
       const Graph& second = request.flip ? g1_ : g2_;
-      // Kernel-layer twins of the reference builders (core/kernels.h):
-      // direct-CSR merge and vectorized discretize/clamp, bit-identical to
-      // BuildDifferenceGraph / DiscretizeWeights / WeightsClampedAbove —
-      // which is what keeps the PatchPipeline mirror and the artifact-store
-      // fingerprints valid unchanged.
-      DCS_ASSIGN_OR_RETURN(
-          out.difference,
-          GraphKernels::BuildDifferenceGraph(first, second, request.alpha));
+      // The difference, discretize and clamp steps are the same graph/
+      // bodies PatchPipeline mirrors entry by entry, which is what keeps
+      // the patch path and the artifact-store fingerprints bit-exact.
+      DCS_ASSIGN_OR_RETURN(out.difference,
+                           BuildDifferenceGraph(first, second, request.alpha));
       if (request.discretize) {
         DCS_ASSIGN_OR_RETURN(
             out.difference,
-            GraphKernels::DiscretizeWeights(out.difference,
-                                            *request.discretize));
+            DiscretizeWeights(out.difference, *request.discretize));
       }
       if (request.clamp_weights_above) {
-        out.difference = GraphKernels::WeightsClampedAbove(
-            out.difference, *request.clamp_weights_above);
+        out.difference = out.difference.WeightsClampedAbove(
+            *request.clamp_weights_above);
       }
       built_difference = true;
     }
     if (need_ga) {
-      out.positive_part = GraphKernels::PositivePart(out.difference);
+      out.positive_part = out.difference.PositivePart();
       out.smart_bounds = ComputeSmartInitBounds(out.positive_part);
       // Validate once per prepared pipeline; every solve against it then
       // skips the per-call O(m) scan. PositivePart output cannot fail the

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <string>
 #include <utility>
 #include <vector>
 
-#include "graph/graph_builder.h"
 #include "util/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -93,134 +90,6 @@ void StageAdjacencySoa(const Graph& graph, std::vector<VertexId>* targets,
       weights->push_back(nb.weight);
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Discretize map
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void DiscretizeMapScalar(const double* in, double* out, size_t count,
-                         const DiscretizeSpec& spec) {
-  for (size_t i = 0; i < count; ++i) out[i] = spec.Map(in[i]);
-}
-
-#if DCS_KERNELS_X86
-// Exact vector transliteration of DiscretizeSpec::Map: a blend chain whose
-// later conditions are exactly the scalar branch priorities ({d >= strong}
-// inside {d >= weak}, {d <= strong_neg} inside {d < 0}); NaN takes no branch
-// in either form and maps to 0.
-__attribute__((target("avx2"))) void DiscretizeMapAvx2(
-    const double* in, double* out, size_t count, const DiscretizeSpec& spec) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d sp = _mm256_set1_pd(spec.strong_pos);
-  const __m256d wp = _mm256_set1_pd(spec.weak_pos);
-  const __m256d sn = _mm256_set1_pd(spec.strong_neg);
-  const __m256d l1 = _mm256_set1_pd(spec.level_one);
-  const __m256d l2 = _mm256_set1_pd(spec.level_two);
-  const __m256d nl1 = _mm256_set1_pd(-spec.level_one);
-  const __m256d nl2 = _mm256_set1_pd(-spec.level_two);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m256d d = _mm256_loadu_pd(in + i);
-    __m256d r = zero;
-    r = _mm256_blendv_pd(r, nl1, _mm256_cmp_pd(d, zero, _CMP_LT_OQ));
-    r = _mm256_blendv_pd(r, nl2, _mm256_cmp_pd(d, sn, _CMP_LE_OQ));
-    r = _mm256_blendv_pd(r, l1, _mm256_cmp_pd(d, wp, _CMP_GE_OQ));
-    r = _mm256_blendv_pd(r, l2, _mm256_cmp_pd(d, sp, _CMP_GE_OQ));
-    _mm256_storeu_pd(out + i, r);
-  }
-  for (; i < count; ++i) out[i] = spec.Map(in[i]);
-}
-#endif  // DCS_KERNELS_X86
-
-}  // namespace
-
-void DiscretizeMapPacked(const double* in, double* out, size_t count,
-                         const DiscretizeSpec& spec) {
-#if DCS_KERNELS_X86
-  if (UseAvx2()) {
-    DiscretizeMapAvx2(in, out, count, spec);
-    return;
-  }
-#endif
-  DiscretizeMapScalar(in, out, count, spec);
-}
-
-// ---------------------------------------------------------------------------
-// Clamp
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void ClampScalar(double* weights, size_t count, double cap) {
-  for (size_t i = 0; i < count; ++i) {
-    weights[i] = std::min(weights[i], cap);
-  }
-}
-
-#if DCS_KERNELS_X86
-// std::min(w, cap) bit semantics: take cap only when cap < w, otherwise keep
-// w's bits (including when equal) — a blendv on (cap < w), not min_pd.
-__attribute__((target("avx2"))) inline __m256d MinStd(__m256d w, __m256d cap) {
-  return _mm256_blendv_pd(w, cap, _mm256_cmp_pd(cap, w, _CMP_LT_OQ));
-}
-
-__attribute__((target("avx2"))) void ClampAvx2(double* weights, size_t count,
-                                               double cap) {
-  const __m256d capv = _mm256_set1_pd(cap);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    _mm256_storeu_pd(weights + i, MinStd(_mm256_loadu_pd(weights + i), capv));
-  }
-  for (; i < count; ++i) weights[i] = std::min(weights[i], cap);
-}
-
-// Clamp over the Neighbor AoS layout: each 32-byte load covers two
-// neighbors, with lanes 0/2 holding the packed vertex ids and lanes 1/3 the
-// weights. The blend writes only the weight lanes, so the id lanes pass
-// through bit-exact (the spurious FP compare on id-bit patterns can at worst
-// set exception flags, which libdcs never reads).
-__attribute__((target("avx2"))) void ClampAosAvx2(Neighbor* neighbors,
-                                                  size_t count, double cap) {
-  static_assert(sizeof(Neighbor) == 16 && offsetof(Neighbor, weight) == 8,
-                "AoS clamp assumes {u32 id, pad, f64 weight} layout");
-  const __m256d capv = _mm256_set1_pd(cap);
-  double* raw = reinterpret_cast<double*>(neighbors);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d v = _mm256_loadu_pd(raw + 2 * i);
-    _mm256_storeu_pd(raw + 2 * i, _mm256_blend_pd(v, MinStd(v, capv), 0b1010));
-  }
-  for (; i < count; ++i) {
-    neighbors[i].weight = std::min(neighbors[i].weight, cap);
-  }
-}
-#endif  // DCS_KERNELS_X86
-
-void ClampAosWeights(Neighbor* neighbors, size_t count, double cap) {
-#if DCS_KERNELS_X86
-  if (UseAvx2()) {
-    ClampAosAvx2(neighbors, count, cap);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < count; ++i) {
-    neighbors[i].weight = std::min(neighbors[i].weight, cap);
-  }
-}
-
-}  // namespace
-
-void ClampAbovePacked(double* weights, size_t count, double cap) {
-#if DCS_KERNELS_X86
-  if (UseAvx2()) {
-    ClampAvx2(weights, count, cap);
-    return;
-  }
-#endif
-  ClampScalar(weights, count, cap);
 }
 
 // ---------------------------------------------------------------------------
@@ -561,125 +430,6 @@ void SeedOrderSort(const std::vector<double>& mu,
     ids.swap(scratch_ids);
   }
   *order = std::move(ids);
-}
-
-// ---------------------------------------------------------------------------
-// Graph-producing kernels
-// ---------------------------------------------------------------------------
-
-Result<Graph> GraphKernels::BuildDifferenceGraph(const Graph& g1,
-                                                 const Graph& g2,
-                                                 double alpha) {
-  if (g1.NumVertices() != g2.NumVertices()) {
-    return Status::InvalidArgument(
-        "difference graph requires equal vertex sets: n1=" +
-        std::to_string(g1.NumVertices()) +
-        " n2=" + std::to_string(g2.NumVertices()));
-  }
-  if (!std::isfinite(alpha) || alpha <= 0.0) {
-    return Status::InvalidArgument("alpha must be finite and positive");
-  }
-  const VertexId n = g1.NumVertices();
-  // Single merge pass emitting the symmetric CSR directly. Both directions
-  // of an edge compute d from the same operand bits (undirected rows store
-  // the same weight both ways), so the rows come out mirror-identical, and
-  // the keep rule |d| > kDefaultZeroEps is exactly the reference path's
-  // "emit d != 0.0, then GraphBuilder::Build drops |w| <= zero_eps" (each
-  // pair is emitted once there, so no accumulation intervenes).
-  std::vector<size_t> offsets(n + 1, 0);
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(g1.neighbors_.size() + g2.neighbors_.size());
-  for (VertexId u = 0; u < n; ++u) {
-    const auto row1 = g1.NeighborsOf(u);
-    const auto row2 = g2.NeighborsOf(u);
-    size_t i = 0, j = 0;
-    while (i < row1.size() || j < row2.size()) {
-      VertexId v;
-      double d;
-      if (j == row2.size() || (i < row1.size() && row1[i].to < row2[j].to)) {
-        v = row1[i].to;
-        d = -alpha * row1[i].weight;
-        ++i;
-      } else if (i == row1.size() || row2[j].to < row1[i].to) {
-        v = row2[j].to;
-        d = row2[j].weight;
-        ++j;
-      } else {
-        v = row1[i].to;
-        d = row2[j].weight - alpha * row1[i].weight;
-        ++i;
-        ++j;
-      }
-      if (!std::isfinite(d)) {
-        return Status::InvalidArgument("non-finite edge weight");
-      }
-      if (std::fabs(d) > kDefaultZeroEps) {
-        neighbors.push_back(Neighbor{v, d});
-      }
-    }
-    offsets[u + 1] = neighbors.size();
-  }
-  neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors));
-}
-
-Result<Graph> GraphKernels::DiscretizeWeights(const Graph& gd,
-                                              const DiscretizeSpec& spec) {
-  DCS_RETURN_NOT_OK(spec.Validate());
-  const VertexId n = gd.NumVertices();
-  const size_t total = gd.neighbors_.size();
-  // Stage the weights packed, map them in one vectorized sweep, then compact
-  // the survivors row by row. Keep rule mirrors the reference (emit mapped
-  // != 0.0, builder drops |w| <= zero_eps); the mapped levels are identical
-  // bits in both row directions, so the output stays mirror-symmetric.
-  std::vector<double> mapped(total);
-  for (size_t i = 0; i < total; ++i) mapped[i] = gd.neighbors_[i].weight;
-  DiscretizeMapPacked(mapped.data(), mapped.data(), total, spec);
-  std::vector<size_t> offsets(n + 1, 0);
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(total);
-  for (VertexId u = 0; u < n; ++u) {
-    const size_t begin = gd.offsets_[u];
-    const size_t end = gd.offsets_[u + 1];
-    for (size_t i = begin; i < end; ++i) {
-      const double m = mapped[i];
-      if (m != 0.0 && std::fabs(m) > kDefaultZeroEps) {
-        neighbors.push_back(Neighbor{gd.neighbors_[i].to, m});
-      }
-    }
-    offsets[u + 1] = neighbors.size();
-  }
-  neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors));
-}
-
-Graph GraphKernels::PositivePart(const Graph& gd) {
-  const VertexId n = gd.NumVertices();
-  // Branchless single-pass compaction: every neighbor is written, the write
-  // cursor only advances past the kept ones. Keep rule and order match the
-  // reference exactly, so the CSR comes out bit-identical.
-  std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
-  std::vector<Neighbor> neighbors(gd.neighbors_.size());
-  size_t out = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    const size_t end = gd.offsets_[u + 1];
-    for (size_t i = gd.offsets_[u]; i < end; ++i) {
-      const Neighbor nb = gd.neighbors_[i];
-      neighbors[out] = nb;
-      out += nb.weight > 0.0 ? 1 : 0;
-    }
-    offsets[u + 1] = out;
-  }
-  neighbors.resize(out);
-  neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors));
-}
-
-Graph GraphKernels::WeightsClampedAbove(const Graph& gd, double cap) {
-  DCS_CHECK(cap > 0.0) << "clamp cap must be positive, got " << cap;
-  Graph out = gd;
-  ClampAosWeights(out.neighbors_.data(), out.neighbors_.size(), cap);
-  return out;
 }
 
 }  // namespace dcs

@@ -1,15 +1,16 @@
 // The measured kernel layer: SIMD + memory-layout implementations of the
-// hot loops every DCSGA solve runs — difference-graph row merge, discretize
-// map, GD+ clamp sweep, dx (affinity) accumulation, gradient-extremes scan
-// and the support reduction — behind one runtime ISA dispatcher.
+// hot loops every DCSGA solve runs — dx (affinity) accumulation, the
+// gradient-extremes scan, the support reduction and the smart-init seed
+// sort — behind one runtime ISA dispatcher. The pipeline's graph steps
+// (difference, discretize, clamp, GD+) have one body each, in graph/.
 //
 // Exactness contract (the ROADMAP float-reassociation rule):
 //  * Every kernel is *bit-identical* to the scalar reference it replaced,
-//    on every ISA and at every thread count. Elementwise work
-//    (compare/select discretize, min-clamp, per-edge multiplies, the
-//    strict-first-wins extremes scan) vectorizes exactly; anything that
-//    would reassociate a floating-point sum does not vectorize: reductions
-//    vectorize only their elementwise products and replay the sum in order.
+//    on every ISA and at every thread count. Elementwise work (per-edge
+//    multiplies, the strict-first-wins extremes scan) vectorizes exactly;
+//    anything that would reassociate a floating-point sum does not
+//    vectorize: reductions vectorize only their elementwise products and
+//    replay the sum in order.
 //  * No FMA contraction anywhere: the SIMD paths use explicit mul/add
 //    intrinsics and the build sets -ffp-contract=off, so -DDCS_NATIVE
 //    cannot silently fuse the scalar reference either.
@@ -63,15 +64,6 @@ void ResetForcedKernelIsa();
 void StageAdjacencySoa(const Graph& graph, std::vector<VertexId>* targets,
                        std::vector<double>* weights);
 
-/// \brief Applies DiscretizeSpec::Map elementwise: out[i] = spec.Map(in[i]).
-/// Exact on every ISA (compare/select only). In-place (out == in) allowed.
-void DiscretizeMapPacked(const double* in, double* out, size_t count,
-                         const DiscretizeSpec& spec);
-
-/// \brief weights[i] = min(weights[i], cap) elementwise, std::min ordering.
-/// Exact on every ISA.
-void ClampAbovePacked(double* weights, size_t count, double cap);
-
 /// \brief dx[targets[i]] += weights[i] * delta for i in [0, count) — the
 /// AffinityState::SetX inner loop over one staged row. The products are
 /// vectorized (one rounding each, never fused); the scatter adds run in row
@@ -123,36 +115,20 @@ double StagedRowLookup(const VertexId* targets, const double* weights,
 void SeedOrderSort(const std::vector<double>& mu,
                    std::vector<VertexId>* order);
 
-/// \brief The graph-producing kernels. A friend of Graph so the fast paths
-/// can emit CSR arrays directly (two-pass / single-pass construction)
-/// instead of routing already-sorted rows through GraphBuilder's
-/// sort-and-merge. Each is bit-identical — same vertices, edges and weight
-/// bit patterns, hence equal ContentFingerprint — to the builder-based
-/// reference implementation it shadows (graph/difference.h, graph/graph.h),
-/// which GraphKernelsTest and KernelSolverTest (tests/core) assert.
+/// \brief Two forwards kept only for the repository benchmark:
+/// perfbench/workloads.cc calls them, and the benchmark builds the previous
+/// commit's perfbench/ against this src/ (ARCHITECTURE.md, "The benchmark's
+/// compile contract"). Library code calls the graph/ bodies directly.
 class GraphKernels {
  public:
-  /// Kernel twin of BuildDifferenceGraph (graph/difference.h): one merge
-  /// pass over the paired sorted rows, emitting the symmetric CSR directly.
+  /// Contract-only forward to BuildDifferenceGraph (graph/difference.h).
   static Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
-                                            double alpha = 1.0);
+                                            double alpha = 1.0) {
+    return dcs::BuildDifferenceGraph(g1, g2, alpha);
+  }
 
-  /// Kernel twin of DiscretizeWeights (graph/difference.h): stages the
-  /// weights packed, maps them with DiscretizeMapPacked, then compacts the
-  /// surviving entries row by row.
-  static Result<Graph> DiscretizeWeights(const Graph& gd,
-                                         const DiscretizeSpec& spec);
-
-  /// Kernel twin of Graph::WeightsClampedAbove: clamps the copied Neighbor
-  /// array in place (AVX2 blends the weight lanes of the 16-byte AoS
-  /// layout, leaving the id lanes untouched bit for bit).
-  static Graph WeightsClampedAbove(const Graph& gd, double cap);
-
-  /// Kernel twin of Graph::PositivePart: one branchless compaction pass
-  /// writing the kept rows straight into the output CSR (the reference does
-  /// a count pass plus a push_back pass). Same keep rule (weight > 0.0),
-  /// same order, same bits.
-  static Graph PositivePart(const Graph& gd);
+  /// Contract-only forward to Graph::PositivePart (graph/graph.h).
+  static Graph PositivePart(const Graph& gd) { return gd.PositivePart(); }
 };
 
 }  // namespace dcs

@@ -22,18 +22,22 @@ Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
     return Status::InvalidArgument("alpha must be finite and positive");
   }
   const VertexId n = g1.NumVertices();
-  GraphBuilder builder(n);
-  // Merge the two sorted adjacency rows of every vertex; emit each
-  // undirected edge once (u < v side).
+  // Single merge pass over the two sorted rows of every vertex, emitting the
+  // symmetric CSR directly. Both directions of an edge compute d from the
+  // same operand bits (undirected rows store the same weight both ways), so
+  // the rows come out mirror-identical. Pairs with |d| <= kDefaultZeroEps are
+  // dropped: exact cancellations and the tiny residues of non-integral ones.
+  std::vector<size_t> offsets(n + 1, 0);
+  std::vector<Neighbor> neighbors;
+  neighbors.reserve(g1.neighbors_.size() + g2.neighbors_.size());
   for (VertexId u = 0; u < n; ++u) {
-    auto row1 = g1.NeighborsOf(u);
-    auto row2 = g2.NeighborsOf(u);
+    const auto row1 = g1.NeighborsOf(u);
+    const auto row2 = g2.NeighborsOf(u);
     size_t i = 0, j = 0;
     while (i < row1.size() || j < row2.size()) {
       VertexId v;
       double d;
-      if (j == row2.size() ||
-          (i < row1.size() && row1[i].to < row2[j].to)) {
+      if (j == row2.size() || (i < row1.size() && row1[i].to < row2[j].to)) {
         v = row1[i].to;
         d = -alpha * row1[i].weight;
         ++i;
@@ -47,12 +51,17 @@ Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
         ++i;
         ++j;
       }
-      if (u < v && d != 0.0) {
-        DCS_RETURN_NOT_OK(builder.AddEdge(u, v, d));
+      if (!std::isfinite(d)) {
+        return Status::InvalidArgument("non-finite edge weight");
+      }
+      if (std::fabs(d) > kDefaultZeroEps) {
+        neighbors.push_back(Neighbor{v, d});
       }
     }
+    offsets[u + 1] = neighbors.size();
   }
-  return builder.Build();
+  neighbors.shrink_to_fit();
+  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 Status DiscretizeSpec::Validate() const {
@@ -96,17 +105,25 @@ Result<double> AlphaUpperBound(const Graph& g1, const Graph& g2) {
 
 Result<Graph> DiscretizeWeights(const Graph& gd, const DiscretizeSpec& spec) {
   DCS_RETURN_NOT_OK(spec.Validate());
-  GraphBuilder builder(gd.NumVertices());
-  for (VertexId u = 0; u < gd.NumVertices(); ++u) {
+  const VertexId n = gd.NumVertices();
+  // One pass maps every stored entry and compacts the survivors straight
+  // into CSR. Both directions of an edge map the same weight bits to the
+  // same level, so the rows stay mirror-symmetric; a level that maps to zero
+  // (or below kDefaultZeroEps) drops the edge.
+  std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
+  std::vector<Neighbor> neighbors;
+  neighbors.reserve(gd.neighbors_.size());
+  for (VertexId u = 0; u < n; ++u) {
     for (const Neighbor& nb : gd.NeighborsOf(u)) {
-      if (u >= nb.to) continue;
       const double mapped = spec.Map(nb.weight);
-      if (mapped != 0.0) {
-        DCS_RETURN_NOT_OK(builder.AddEdge(u, nb.to, mapped));
+      if (std::fabs(mapped) > kDefaultZeroEps) {
+        neighbors.push_back(Neighbor{nb.to, mapped});
       }
     }
+    offsets[u + 1] = neighbors.size();
   }
-  return builder.Build();
+  neighbors.shrink_to_fit();
+  return Graph(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace dcs

@@ -15,10 +15,11 @@
 
 namespace dcs {
 
-/// \brief D = A2 − alpha * A1 with exact-zero entries dropped.
+/// \brief D = A2 − alpha * A1, dropping entries with |d| <= kDefaultZeroEps
+/// (exact cancellations and the rounding residues of non-integral ones).
 ///
-/// Fails if the graphs have different vertex counts or alpha is not finite
-/// and positive.
+/// Fails if the graphs have different vertex counts, alpha is not finite
+/// and positive, or some d overflows to a non-finite value.
 Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
                                    double alpha = 1.0);
 
@@ -50,7 +51,7 @@ struct DiscretizeSpec {
 };
 
 /// \brief Applies a DiscretizeSpec to every edge weight of `gd`, dropping
-/// edges that map to zero.
+/// edges that map to zero (or to a level at most kDefaultZeroEps).
 Result<Graph> DiscretizeWeights(const Graph& gd, const DiscretizeSpec& spec);
 
 /// \brief The largest α for which the α-scaled DCS problems have a positive

@@ -78,30 +78,27 @@ std::vector<double> Graph::MaxIncidentWeightPerVertex() const {
 
 Graph Graph::PositivePart() const {
   const VertexId n = NumVertices();
+  // Branchless single-pass compaction: every neighbor is written, the write
+  // cursor only advances past the kept ones, so rows stay sorted.
   std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
+  std::vector<Neighbor> neighbors(neighbors_.size());
+  size_t out = 0;
   for (VertexId u = 0; u < n; ++u) {
-    size_t kept = 0;
-    for (const Neighbor& nb : NeighborsOf(u)) kept += nb.weight > 0.0 ? 1 : 0;
-    offsets[u + 1] = offsets[u] + kept;
-  }
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(offsets[n]);
-  for (VertexId u = 0; u < n; ++u) {
-    for (const Neighbor& nb : NeighborsOf(u)) {
-      if (nb.weight > 0.0) neighbors.push_back(nb);
+    const size_t end = offsets_[u + 1];
+    for (size_t i = offsets_[u]; i < end; ++i) {
+      const Neighbor nb = neighbors_[i];
+      neighbors[out] = nb;
+      out += nb.weight > 0.0 ? 1 : 0;
     }
+    offsets[u + 1] = out;
   }
+  neighbors.resize(out);
+  neighbors.shrink_to_fit();
   return Graph(std::move(offsets), std::move(neighbors));
 }
 
-Graph Graph::Negated() const {
-  Graph out = *this;
-  for (Neighbor& nb : out.neighbors_) nb.weight = -nb.weight;
-  return out;
-}
-
 Graph Graph::WeightsClampedAbove(double cap) const {
-  DCS_CHECK(cap > 0.0) << "clamp cap must be positive";
+  DCS_CHECK(cap > 0.0) << "clamp cap must be positive, got " << cap;
   Graph out = *this;
   for (Neighbor& nb : out.neighbors_) nb.weight = std::min(nb.weight, cap);
   return out;

@@ -19,6 +19,8 @@
 
 namespace dcs {
 
+struct DiscretizeSpec;  // graph/difference.h
+
 /// Vertex identifier: dense indices in [0, NumVertices()).
 using VertexId = uint32_t;
 
@@ -125,10 +127,6 @@ class Graph {
   /// Table I. Vertex set (and ids) are preserved.
   Graph PositivePart() const;
 
-  /// \brief A graph with every edge weight negated (used to flip an
-  /// "Emerging" difference graph into a "Disappearing" one, §VI-B).
-  Graph Negated() const;
-
   /// \brief Returns a copy with every weight w replaced by min(w, cap),
   /// cap > 0 (the §III-D heavy-edge adjustment; Actor "Discrete" setting).
   Graph WeightsClampedAbove(double cap) const;
@@ -177,7 +175,11 @@ class Graph {
   friend class GraphBuilder;
   friend class CsrPatcher;
   friend class GraphSerializer;  // graph/serialize.cc: flat CSR round trip
-  friend class GraphKernels;     // core/kernels.cc: direct-CSR kernel builds
+  // graph/difference.cc: both emit already-sorted rows as CSR directly.
+  friend Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
+                                            double alpha);
+  friend Result<Graph> DiscretizeWeights(const Graph& gd,
+                                         const DiscretizeSpec& spec);
 
  private:
   Graph(std::vector<size_t> offsets, std::vector<Neighbor> neighbors)

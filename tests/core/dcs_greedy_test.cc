@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <cstring>
 
-#include "densest/exact.h"
+#include "oracles/exact.h"
 #include "gen/random_graphs.h"
 #include "graph/components.h"
 #include "graph/stats.h"

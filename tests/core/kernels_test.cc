@@ -1,17 +1,15 @@
 // Golden scalar-vs-vectorized bit-identity suite for the kernel layer
 // (core/kernels.h). Every default kernel must produce the same bits under
-// forced-scalar and forced-AVX2 dispatch — on elementwise kernels, on the
-// graph-producing twins of the reference builders, end-to-end through
-// RunNewSea at thread counts {1,2,4,7}, and through a whole Discrete-setting
-// mine (difference, discretize, GD+, solve) on a planted pair. AVX2 halves
-// skip on hardware without AVX2.
+// forced-scalar and forced-AVX2 dispatch — on the elementwise kernels,
+// end-to-end through RunNewSea at thread counts {1,2,4,7}, and through a
+// whole Discrete-setting mine (difference, discretize, GD+, solve) on a
+// planted pair against the naive builder-based pipeline. AVX2 halves skip
+// on hardware without AVX2.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -21,13 +19,15 @@
 #include "gen/random_graphs.h"
 #include "graph/difference.h"
 #include "graph/graph.h"
-#include "test_util.h"
+#include "oracles/naive_pipeline.h"
 #include "util/rng.h"
 
 namespace dcs {
 namespace {
 
-using ::dcs::testing::MakeGraph;
+using ::dcs::testing::NaiveDifferenceGraph;
+using ::dcs::testing::NaiveDiscretizeWeights;
+using ::dcs::testing::NaivePositivePart;
 
 // Restores automatic dispatch no matter how the test exits.
 struct ScopedIsa {
@@ -44,38 +44,6 @@ bool SameBits(double a, double b) {
     GTEST_SKIP() << "CPU has no AVX2; scalar-only host"; \
   }
 
-// Mixed magnitudes, signs, exact threshold hits, signed zeros and the
-// values a discretize/clamp/reduce kernel could round differently.
-std::vector<double> AdversarialDoubles(const DiscretizeSpec& spec) {
-  std::vector<double> values = {
-      0.0,
-      -0.0,
-      spec.weak_pos,
-      spec.strong_pos,
-      spec.strong_neg,
-      std::nextafter(spec.weak_pos, 0.0),
-      std::nextafter(spec.weak_pos, 1e300),
-      std::nextafter(spec.strong_pos, 0.0),
-      std::nextafter(spec.strong_pos, 1e300),
-      std::nextafter(spec.strong_neg, 0.0),
-      std::nextafter(spec.strong_neg, -1e300),
-      -1e-300,
-      1e-300,
-      -1e300,
-      1e300,
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::quiet_NaN(),
-      1.0 / 3.0,
-      -2.0 / 3.0,
-  };
-  Rng rng(99);
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back((rng.NextDouble() - 0.5) * 20.0);
-  }
-  return values;
-}
-
 TEST(KernelDispatchTest, ForceAndResetControlActiveIsa) {
   {
     ScopedIsa scalar(KernelIsa::kScalar);
@@ -86,71 +54,6 @@ TEST(KernelDispatchTest, ForceAndResetControlActiveIsa) {
             KernelCpuHasAvx2() ? KernelIsa::kAvx2 : KernelIsa::kScalar);
   EXPECT_STREQ(KernelIsaName(KernelIsa::kScalar), "scalar");
   EXPECT_STREQ(KernelIsaName(KernelIsa::kAvx2), "avx2");
-}
-
-TEST(KernelBitIdentityTest, DiscretizeMapMatchesScalarReference) {
-  SKIP_WITHOUT_AVX2();
-  DiscretizeSpec spec;
-  const std::vector<double> input = AdversarialDoubles(spec);
-  std::vector<double> scalar_out(input.size()), avx2_out(input.size());
-  {
-    ScopedIsa isa(KernelIsa::kScalar);
-    DiscretizeMapPacked(input.data(), scalar_out.data(), input.size(), spec);
-  }
-  {
-    ScopedIsa isa(KernelIsa::kAvx2);
-    DiscretizeMapPacked(input.data(), avx2_out.data(), input.size(), spec);
-  }
-  for (size_t i = 0; i < input.size(); ++i) {
-    EXPECT_TRUE(SameBits(scalar_out[i], spec.Map(input[i]))) << input[i];
-    EXPECT_TRUE(SameBits(scalar_out[i], avx2_out[i])) << input[i];
-  }
-}
-
-TEST(KernelBitIdentityTest, DiscretizeMapHandlesNonDefaultSpec) {
-  SKIP_WITHOUT_AVX2();
-  DiscretizeSpec spec;
-  spec.strong_pos = 0.75;
-  spec.weak_pos = 0.75;  // weak == strong: the >= chain must pick level_two
-  spec.strong_neg = -1.0 / 3.0;
-  spec.level_one = 0.5;
-  spec.level_two = 7.0;
-  ASSERT_TRUE(spec.Validate().ok());
-  const std::vector<double> input = AdversarialDoubles(spec);
-  std::vector<double> scalar_out(input.size()), avx2_out(input.size());
-  {
-    ScopedIsa isa(KernelIsa::kScalar);
-    DiscretizeMapPacked(input.data(), scalar_out.data(), input.size(), spec);
-  }
-  {
-    ScopedIsa isa(KernelIsa::kAvx2);
-    DiscretizeMapPacked(input.data(), avx2_out.data(), input.size(), spec);
-  }
-  for (size_t i = 0; i < input.size(); ++i) {
-    EXPECT_TRUE(SameBits(scalar_out[i], avx2_out[i])) << input[i];
-  }
-}
-
-TEST(KernelBitIdentityTest, ClampMatchesStdMinBitwise) {
-  SKIP_WITHOUT_AVX2();
-  const std::vector<double> input = AdversarialDoubles(DiscretizeSpec{});
-  for (const double cap : {1.0, 2.5, 1e-300, 1e300}) {
-    std::vector<double> scalar_out = input, avx2_out = input;
-    {
-      ScopedIsa isa(KernelIsa::kScalar);
-      ClampAbovePacked(scalar_out.data(), scalar_out.size(), cap);
-    }
-    {
-      ScopedIsa isa(KernelIsa::kAvx2);
-      ClampAbovePacked(avx2_out.data(), avx2_out.size(), cap);
-    }
-    for (size_t i = 0; i < input.size(); ++i) {
-      EXPECT_TRUE(SameBits(scalar_out[i], std::min(input[i], cap)))
-          << input[i] << " cap " << cap;
-      EXPECT_TRUE(SameBits(scalar_out[i], avx2_out[i]))
-          << input[i] << " cap " << cap;
-    }
-  }
 }
 
 TEST(KernelBitIdentityTest, AxpyScatterMatchesScalarLoop) {
@@ -280,91 +183,6 @@ TEST(KernelBitIdentityTest, StagedRowLookupMatchesGraphEdgeWeight) {
   }
 }
 
-// --- Graph-producing kernel twins ------------------------------------------
-
-void ExpectGraphsBitIdentical(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.NumVertices(), b.NumVertices());
-  ASSERT_EQ(a.NumEdges(), b.NumEdges());
-  EXPECT_EQ(a.ContentFingerprint(), b.ContentFingerprint());
-  for (VertexId u = 0; u < a.NumVertices(); ++u) {
-    const auto row_a = a.NeighborsOf(u);
-    const auto row_b = b.NeighborsOf(u);
-    ASSERT_EQ(row_a.size(), row_b.size()) << "row " << u;
-    for (size_t i = 0; i < row_a.size(); ++i) {
-      EXPECT_EQ(row_a[i].to, row_b[i].to) << "row " << u;
-      EXPECT_TRUE(SameBits(row_a[i].weight, row_b[i].weight)) << "row " << u;
-    }
-  }
-}
-
-TEST(GraphKernelsTest, DifferenceTwinMatchesReferenceOnRandomPairs) {
-  for (const uint64_t seed : {3u, 21u, 77u}) {
-    Rng rng(seed);
-    Result<Graph> g1 = ErdosRenyiWeighted(200, 0.05, 0.5, 3.0, &rng);
-    Result<Graph> g2 = ErdosRenyiWeighted(200, 0.05, 0.5, 3.0, &rng);
-    ASSERT_TRUE(g1.ok() && g2.ok());
-    for (const double alpha : {1.0, 0.5, 1.0 / 3.0}) {
-      Result<Graph> reference = BuildDifferenceGraph(*g1, *g2, alpha);
-      Result<Graph> kernel = GraphKernels::BuildDifferenceGraph(*g1, *g2, alpha);
-      ASSERT_TRUE(reference.ok() && kernel.ok());
-      ExpectGraphsBitIdentical(*reference, *kernel);
-    }
-  }
-}
-
-TEST(GraphKernelsTest, DifferenceTwinDropsCancellationsLikeTheBuilder) {
-  // Identical edge in both graphs with alpha=1 cancels to exactly 0; a
-  // near-identical one leaves a residue below the builder's zero_eps. Both
-  // must be absent from both implementations.
-  const Graph g1 = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 1.0}, {2, 3, 1e-13}});
-  const Graph g2 = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 3.0}, {2, 3, 2e-13}});
-  Result<Graph> reference = BuildDifferenceGraph(g1, g2, 1.0);
-  Result<Graph> kernel = GraphKernels::BuildDifferenceGraph(g1, g2, 1.0);
-  ASSERT_TRUE(reference.ok() && kernel.ok());
-  ExpectGraphsBitIdentical(*reference, *kernel);
-  EXPECT_FALSE(kernel->HasEdge(0, 1));
-  EXPECT_FALSE(kernel->HasEdge(2, 3));
-  EXPECT_TRUE(kernel->HasEdge(1, 2));
-}
-
-TEST(GraphKernelsTest, DifferenceTwinMirrorsReferenceErrors) {
-  const Graph small = MakeGraph(3, {{0, 1, 1.0}});
-  const Graph large = MakeGraph(4, {{0, 1, 1.0}});
-  EXPECT_TRUE(GraphKernels::BuildDifferenceGraph(small, large, 1.0)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(GraphKernels::BuildDifferenceGraph(small, small, 0.0)
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(GraphKernels::BuildDifferenceGraph(small, small, -2.0)
-                  .status()
-                  .IsInvalidArgument());
-}
-
-TEST(GraphKernelsTest, DiscretizeTwinMatchesReference) {
-  for (const uint64_t seed : {5u, 31u}) {
-    Rng rng(seed);
-    Result<Graph> g1 = ErdosRenyiWeighted(150, 0.06, 0.5, 3.0, &rng);
-    Result<Graph> g2 = ErdosRenyiWeighted(150, 0.06, 0.5, 3.0, &rng);
-    ASSERT_TRUE(g1.ok() && g2.ok());
-    Result<Graph> gd = BuildDifferenceGraph(*g1, *g2, 1.0);
-    ASSERT_TRUE(gd.ok());
-    DiscretizeSpec spec;
-    spec.strong_pos = 2.0;
-    spec.weak_pos = 1.0;
-    spec.strong_neg = -1.5;
-    Result<Graph> reference = DiscretizeWeights(*gd, spec);
-    Result<Graph> kernel = GraphKernels::DiscretizeWeights(*gd, spec);
-    ASSERT_TRUE(reference.ok() && kernel.ok());
-    ExpectGraphsBitIdentical(*reference, *kernel);
-  }
-  DiscretizeSpec invalid;
-  invalid.weak_pos = -1.0;
-  const Graph g = MakeGraph(2, {{0, 1, 1.0}});
-  EXPECT_TRUE(
-      GraphKernels::DiscretizeWeights(g, invalid).status().IsInvalidArgument());
-}
-
 TEST(KernelBitIdentityTest, SeedOrderSortMatchesComparatorSort) {
   SKIP_WITHOUT_AVX2();
   // Duplicate-heavy, signed, zero-laden mu vectors: the radix path must
@@ -428,38 +246,6 @@ TEST(KernelBitIdentityTest, SeedOrderSortMatchesComparatorSort) {
   EXPECT_EQ(order, std::vector<VertexId>{0});
 }
 
-TEST(GraphKernelsTest, PositivePartTwinMatchesReference) {
-  for (const uint64_t seed : {11u, 47u}) {
-    Rng rng(seed);
-    Result<Graph> gd = RandomSignedGraph(250, 2000, 0.6, 0.5, 4.0, &rng);
-    ASSERT_TRUE(gd.ok());
-    ExpectGraphsBitIdentical(gd->PositivePart(),
-                             GraphKernels::PositivePart(*gd));
-  }
-  // Edge cases: empty graph, all-negative rows (everything dropped) and an
-  // isolated middle vertex.
-  ExpectGraphsBitIdentical(Graph(5).PositivePart(),
-                           GraphKernels::PositivePart(Graph(5)));
-  const Graph negative =
-      MakeGraph(4, {{0, 1, -2.0}, {1, 2, -0.5}, {2, 3, -1.0}});
-  ExpectGraphsBitIdentical(negative.PositivePart(),
-                           GraphKernels::PositivePart(negative));
-  EXPECT_EQ(GraphKernels::PositivePart(negative).NumEdges(), 0u);
-  const Graph mixed = MakeGraph(5, {{0, 1, 3.0}, {0, 3, -1.0}, {3, 4, 2.0}});
-  ExpectGraphsBitIdentical(mixed.PositivePart(),
-                           GraphKernels::PositivePart(mixed));
-}
-
-TEST(GraphKernelsTest, ClampTwinMatchesReference) {
-  Rng rng(23);
-  Result<Graph> gd = RandomSignedGraph(200, 1500, 0.6, 0.5, 4.0, &rng);
-  ASSERT_TRUE(gd.ok());
-  for (const double cap : {0.75, 2.0, 100.0}) {
-    ExpectGraphsBitIdentical(gd->WeightsClampedAbove(cap),
-                             GraphKernels::WeightsClampedAbove(*gd, cap));
-  }
-}
-
 // --- End-to-end: solver bit-identity across ISA × thread count -------------
 
 Graph SolverFixtureGdPlus(uint64_t seed) {
@@ -501,9 +287,9 @@ TEST(KernelSolverTest, NewSeaBitIdenticalAcrossIsaAndThreads) {
 }
 
 // The mine a Discrete-setting request runs, twice over a planted co-author
-// pair: the graph/difference.h builders with a forced-scalar solve, then the
-// GraphKernels twins with automatic dispatch. The answers must match bit for
-// bit.
+// pair: the naive builder-based pipeline (tests/oracles/naive_pipeline.h)
+// with a forced-scalar solve, then the graph/ bodies with automatic
+// dispatch. The answers must match bit for bit.
 TEST(KernelSolverTest, KernelPipelineMatchesReferencePipeline) {
   Rng rng(20180416);
   CoauthorConfig config;
@@ -517,22 +303,22 @@ TEST(KernelSolverTest, KernelPipelineMatchesReferencePipeline) {
   DcsgaResult reference;
   {
     ScopedIsa isa(KernelIsa::kScalar);
-    Result<Graph> gd = BuildDifferenceGraph(data->g1, data->g2);
+    Result<Graph> gd = NaiveDifferenceGraph(data->g1, data->g2);
     ASSERT_TRUE(gd.ok());
-    Result<Graph> mapped = DiscretizeWeights(*gd, spec);
+    Result<Graph> mapped = NaiveDiscretizeWeights(*gd, spec);
     ASSERT_TRUE(mapped.ok());
-    const Graph gd_plus = mapped->PositivePart();
+    const Graph gd_plus = NaivePositivePart(*mapped);
     Result<DcsgaResult> solved =
         RunNewSea(gd_plus, ComputeSmartInitBounds(gd_plus));
     ASSERT_TRUE(solved.ok());
     reference = std::move(*solved);
   }
 
-  Result<Graph> gd = GraphKernels::BuildDifferenceGraph(data->g1, data->g2);
+  Result<Graph> gd = BuildDifferenceGraph(data->g1, data->g2);
   ASSERT_TRUE(gd.ok());
-  Result<Graph> mapped = GraphKernels::DiscretizeWeights(*gd, spec);
+  Result<Graph> mapped = DiscretizeWeights(*gd, spec);
   ASSERT_TRUE(mapped.ok());
-  const Graph gd_plus = GraphKernels::PositivePart(*mapped);
+  const Graph gd_plus = mapped->PositivePart();
   Result<DcsgaResult> kernel =
       RunNewSea(gd_plus, ComputeSmartInitBounds(gd_plus));
   ASSERT_TRUE(kernel.ok());

@@ -8,7 +8,7 @@
 #include <numeric>
 #include <string>
 
-#include "densest/exact.h"
+#include "oracles/exact.h"
 #include "graph/csr_patcher.h"
 #include "gen/random_graphs.h"
 #include "graph/stats.h"

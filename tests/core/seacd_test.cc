@@ -5,7 +5,7 @@
 #include <algorithm>
 
 #include "core/coordinate_descent.h"
-#include "densest/exact.h"
+#include "oracles/exact.h"
 #include "gen/random_graphs.h"
 #include "graph/stats.h"
 #include "test_util.h"

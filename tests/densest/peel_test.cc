@@ -8,8 +8,8 @@
 #include <utility>
 #include <vector>
 
-#include "densest/exact.h"
-#include "densest/goldberg.h"
+#include "oracles/exact.h"
+#include "oracles/goldberg.h"
 #include "gen/random_graphs.h"
 #include "graph/graph_builder.h"
 #include "graph/stats.h"

@@ -3,20 +3,27 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "gen/random_graphs.h"
 #include "graph/csr_patcher.h"
 #include "graph/graph_builder.h"
 #include "graph/serialize.h"
+#include "oracles/naive_pipeline.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace dcs {
 namespace {
 
 using ::dcs::testing::MakeGraph;
+using ::dcs::testing::NaivePositivePart;
+using ::dcs::testing::NaiveWeightsClampedAbove;
+using ::dcs::testing::SameGraphBits;
 
 TEST(GraphTest, EmptyGraph) {
   Graph g(0);
@@ -106,20 +113,42 @@ TEST(GraphTest, PositivePartKeepsAdjacencySorted) {
   EXPECT_EQ(row[1].to, 3u);
 }
 
-TEST(GraphTest, NegatedFlipsAllSigns) {
-  Graph gd = MakeGraph(3, {{0, 1, 2.0}, {1, 2, -3.0}});
-  Graph flipped = gd.Negated();
-  EXPECT_DOUBLE_EQ(flipped.EdgeWeight(0, 1), -2.0);
-  EXPECT_DOUBLE_EQ(flipped.EdgeWeight(1, 2), 3.0);
-  // Original untouched.
-  EXPECT_DOUBLE_EQ(gd.EdgeWeight(0, 1), 2.0);
-}
-
 TEST(GraphTest, WeightsClampedAbove) {
   Graph g = MakeGraph(3, {{0, 1, 100.0}, {1, 2, 5.0}});
   Graph clamped = g.WeightsClampedAbove(10.0);
   EXPECT_DOUBLE_EQ(clamped.EdgeWeight(0, 1), 10.0);
   EXPECT_DOUBLE_EQ(clamped.EdgeWeight(1, 2), 5.0);
+}
+
+TEST(GraphKernelsTest, PositivePartTwinMatchesReference) {
+  for (const uint64_t seed : {11u, 47u}) {
+    Rng rng(seed);
+    Result<Graph> gd = RandomSignedGraph(250, 2000, 0.6, 0.5, 4.0, &rng);
+    ASSERT_TRUE(gd.ok());
+    EXPECT_TRUE(SameGraphBits(NaivePositivePart(*gd), gd->PositivePart()));
+  }
+  // Edge cases: empty graph, all-negative rows (everything dropped) and an
+  // isolated middle vertex.
+  EXPECT_TRUE(SameGraphBits(NaivePositivePart(Graph(5)),
+                            Graph(5).PositivePart()));
+  const Graph negative =
+      MakeGraph(4, {{0, 1, -2.0}, {1, 2, -0.5}, {2, 3, -1.0}});
+  EXPECT_TRUE(
+      SameGraphBits(NaivePositivePart(negative), negative.PositivePart()));
+  EXPECT_EQ(negative.PositivePart().NumEdges(), 0u);
+  const Graph mixed = MakeGraph(5, {{0, 1, 3.0}, {0, 3, -1.0}, {3, 4, 2.0}});
+  EXPECT_TRUE(SameGraphBits(NaivePositivePart(mixed), mixed.PositivePart()));
+}
+
+TEST(GraphKernelsTest, ClampTwinMatchesReference) {
+  Rng rng(23);
+  Result<Graph> gd = RandomSignedGraph(200, 1500, 0.6, 0.5, 4.0, &rng);
+  ASSERT_TRUE(gd.ok());
+  for (const double cap : {0.75, 2.0, 100.0}) {
+    EXPECT_TRUE(SameGraphBits(NaiveWeightsClampedAbove(*gd, cap),
+                              gd->WeightsClampedAbove(cap)))
+        << "cap " << cap;
+  }
 }
 
 TEST(GraphTest, MaxIncidentWeightPerVertex) {

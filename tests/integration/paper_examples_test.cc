@@ -12,7 +12,7 @@
 #include "core/newsea.h"
 #include "core/refinement.h"
 #include "core/seacd.h"
-#include "densest/exact.h"
+#include "oracles/exact.h"
 #include "densest/peel.h"
 #include "gen/random_graphs.h"
 #include "graph/components.h"

@@ -3,12 +3,12 @@
 // The optimal affinity embedding supported on a clique K satisfies
 // (A x)_u = const for all u in K together with 1ᵀx = 1 (the KKT system of
 // max xᵀAx on the simplex restricted to K). The brute-force oracle in
-// src/densest/exact.cc enumerates candidate cliques and solves this system
+// tests/oracles/exact.cc enumerates candidate cliques and solves this system
 // with partial-pivot Gaussian elimination; matrices involved are tiny
 // (≤ ~16x16), so simplicity beats numerics sophistication here.
 
-#ifndef DCS_UTIL_DENSE_SOLVER_H_
-#define DCS_UTIL_DENSE_SOLVER_H_
+#ifndef DCS_TESTS_ORACLES_DENSE_SOLVER_H_
+#define DCS_TESTS_ORACLES_DENSE_SOLVER_H_
 
 #include <cstddef>
 #include <vector>
@@ -48,4 +48,4 @@ Result<std::vector<double>> InteriorSimplexMaximizer(const DenseMatrix& a);
 
 }  // namespace dcs
 
-#endif  // DCS_UTIL_DENSE_SOLVER_H_
+#endif  // DCS_TESTS_ORACLES_DENSE_SOLVER_H_

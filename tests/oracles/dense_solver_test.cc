@@ -1,4 +1,4 @@
-#include "util/dense_solver.h"
+#include "oracles/dense_solver.h"
 
 #include <gtest/gtest.h>
 

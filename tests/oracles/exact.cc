@@ -1,8 +1,8 @@
-#include "densest/exact.h"
+#include "oracles/exact.h"
 
 #include <string>
 
-#include "util/dense_solver.h"
+#include "oracles/dense_solver.h"
 
 namespace dcs {
 namespace {

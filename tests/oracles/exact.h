@@ -5,8 +5,8 @@
 // positive cliques (Theorem 5 guarantees an optimal DCSGA solution supported
 // on a positive clique) and solves the interior KKT system on each.
 
-#ifndef DCS_DENSEST_EXACT_H_
-#define DCS_DENSEST_EXACT_H_
+#ifndef DCS_TESTS_ORACLES_EXACT_H_
+#define DCS_TESTS_ORACLES_EXACT_H_
 
 #include <vector>
 
@@ -44,4 +44,4 @@ Result<ExactDcsgaResult> ExactDcsgaBruteForce(const Graph& gd,
 
 }  // namespace dcs
 
-#endif  // DCS_DENSEST_EXACT_H_
+#endif  // DCS_TESTS_ORACLES_EXACT_H_

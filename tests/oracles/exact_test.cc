@@ -1,4 +1,4 @@
-#include "densest/exact.h"
+#include "oracles/exact.h"
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
-#include "densest/goldberg.h"
+#include "oracles/goldberg.h"
 
 #include <algorithm>
 
-#include "densest/maxflow.h"
+#include "oracles/maxflow.h"
 #include "graph/stats.h"
 
 namespace dcs {

@@ -1,10 +1,9 @@
 // Goldberg's exact maximum-average-degree subgraph via max-flow.
 //
 // §II of the paper cites Goldberg [12] as the polynomial exact algorithm for
-// the traditional (non-negative weights) densest-subgraph problem. libdcs
-// implements it both as part of the substrate the paper builds on and as an
-// exact oracle against which the Charikar peel (factor 2) and the DCSGreedy
-// candidates are property-tested.
+// the traditional (non-negative weights) densest-subgraph problem. The tests
+// use it as an exact oracle against which the Charikar peel (factor 2) and
+// the DCSGreedy candidates are property-tested.
 //
 // The reduction, for a density guess g (in the Table I doubled convention,
 // ρ(S) = W(S)/|S| with W counting each edge twice):
@@ -15,8 +14,8 @@
 // so min-cut < Σ degw  iff  some S has ρ(S) = 2·w_in(S)/|S| > g.
 // Binary search over g pins the optimum to any desired precision.
 
-#ifndef DCS_DENSEST_GOLDBERG_H_
-#define DCS_DENSEST_GOLDBERG_H_
+#ifndef DCS_TESTS_ORACLES_GOLDBERG_H_
+#define DCS_TESTS_ORACLES_GOLDBERG_H_
 
 #include <vector>
 
@@ -42,4 +41,4 @@ Result<DensestSubgraphResult> GoldbergDensestSubgraph(const Graph& graph,
 
 }  // namespace dcs
 
-#endif  // DCS_DENSEST_GOLDBERG_H_
+#endif  // DCS_TESTS_ORACLES_GOLDBERG_H_

@@ -1,10 +1,10 @@
-#include "densest/goldberg.h"
+#include "oracles/goldberg.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "densest/exact.h"
+#include "oracles/exact.h"
 #include "gen/random_graphs.h"
 #include "graph/stats.h"
 #include "test_util.h"

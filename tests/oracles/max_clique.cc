@@ -1,4 +1,4 @@
-#include "densest/max_clique.h"
+#include "oracles/max_clique.h"
 
 #include <algorithm>
 

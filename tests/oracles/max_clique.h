@@ -2,14 +2,14 @@
 // (Tomita-style; the family of algorithms the paper cites as Rossi et
 // al. [22] in §V-D).
 //
-// Used as substrate and oracle: §V-D's smart initialization bounds the
-// largest clique containing u by τ_u + 1; §V-C discusses why max-clique
-// algorithms do NOT solve weighted DCSGA — both claims are property-tested
-// against this exact solver. Edge weights are ignored (cliques are a
+// A test oracle: §V-D's smart initialization bounds the largest clique
+// containing u by τ_u + 1, and §V-C discusses why max-clique algorithms do
+// NOT solve weighted DCSGA — both claims are property-tested against this
+// exact solver. Edge weights are ignored (cliques are a
 // structural notion).
 
-#ifndef DCS_DENSEST_MAX_CLIQUE_H_
-#define DCS_DENSEST_MAX_CLIQUE_H_
+#ifndef DCS_TESTS_ORACLES_MAX_CLIQUE_H_
+#define DCS_TESTS_ORACLES_MAX_CLIQUE_H_
 
 #include <cstdint>
 #include <vector>
@@ -39,4 +39,4 @@ Result<MaxCliqueResult> FindMaxClique(const Graph& graph,
 
 }  // namespace dcs
 
-#endif  // DCS_DENSEST_MAX_CLIQUE_H_
+#endif  // DCS_TESTS_ORACLES_MAX_CLIQUE_H_

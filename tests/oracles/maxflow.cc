@@ -1,4 +1,4 @@
-#include "densest/maxflow.h"
+#include "oracles/maxflow.h"
 
 #include <algorithm>
 #include <deque>

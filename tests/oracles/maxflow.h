@@ -1,12 +1,12 @@
 // Dinic's maximum-flow algorithm on real-valued capacities.
 //
 // Substrate for the exact densest-subgraph solver (Goldberg's max-flow
-// reduction, densest/goldberg.h). Capacities are doubles; residual arcs
+// reduction, tests/oracles/goldberg.h). Capacities are doubles; residual arcs
 // below kFlowEps are treated as saturated, which is standard practice for
 // flow networks whose capacities come from graph weights.
 
-#ifndef DCS_DENSEST_MAXFLOW_H_
-#define DCS_DENSEST_MAXFLOW_H_
+#ifndef DCS_TESTS_ORACLES_MAXFLOW_H_
+#define DCS_TESTS_ORACLES_MAXFLOW_H_
 
 #include <cstdint>
 #include <vector>
@@ -57,4 +57,4 @@ class MaxFlow {
 
 }  // namespace dcs
 
-#endif  // DCS_DENSEST_MAXFLOW_H_
+#endif  // DCS_TESTS_ORACLES_MAXFLOW_H_

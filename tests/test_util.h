@@ -66,13 +66,15 @@ inline std::string SerializeDeterministic(const MiningResponse& response) {
   return out;
 }
 
-/// Builds a graph from (u, v, w) triples; aborts on invalid input.
+/// Builds a graph from (u, v, w) triples; aborts on invalid input. Weights
+/// with |w| <= zero_eps are dropped, as GraphBuilder::Build does.
 inline Graph MakeGraph(VertexId n,
                        const std::vector<std::tuple<VertexId, VertexId, double>>&
-                           edges) {
+                           edges,
+                       double zero_eps = kDefaultZeroEps) {
   GraphBuilder builder(n);
   for (const auto& [u, v, w] : edges) builder.AddEdgeUnchecked(u, v, w);
-  Result<Graph> graph = builder.Build();
+  Result<Graph> graph = builder.Build(zero_eps);
   DCS_CHECK(graph.ok()) << graph.status().ToString();
   return std::move(graph).value();
 }

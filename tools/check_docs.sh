@@ -7,10 +7,11 @@
 #   2. every file path referenced by README.md / ARCHITECTURE.md exists
 #      (src|tools|bench|examples|tests/... tokens, api/... header tokens,
 #      root-level *.md);
-#   3. every ctest label (`-L <label>`) and every dcs_mine `--flag` the docs
+#   3. every ctest label (`-L <label>`) and every CLI `--flag` the docs
 #      mention actually exists — labels against the LABELS declarations in
-#      the CMakeLists, flags against the single flag table in
-#      tools/dcs_mine.cc.
+#      the CMakeLists; flags (on dcs_mine lines and in inline `code spans`,
+#      cmake/ctest lines aside) against dcs_mine's kFlagTable and the flags
+#      tools/dcs_store.cc accepts.
 #
 # Usage: check_docs.sh [repo-root]
 
@@ -75,17 +76,25 @@ for doc in "${docs[@]}"; do
   done < <(grep -ohE '\-L [a-z_]+' "$doc" | sed 's/^-L //' | sort -u)
 done
 
-# --- 3b. dcs_mine flags the docs show exist in the flag table ---------------
-flag_table="$root/tools/dcs_mine.cc"
+# --- 3b. CLI flags the docs show exist ------------------------------------
+known_flags=$( {
+  grep -oE '^[[:space:]]*\{"--[a-z][a-z0-9-]*"' "$root/tools/dcs_mine.cc"
+  grep -oE '"--[a-z][a-z0-9-]*"' "$root/tools/dcs_store.cc"
+} | grep -oE -- '--[a-z0-9-]+' | sort -u)
 for doc in "${docs[@]}"; do
   [ -s "$doc" ] || continue
   rel="${doc#"$root"/}"
+  lines=$(grep -vE '(^|[^A-Za-z0-9_])(cmake|ctest)([^A-Za-z0-9_]|$)' "$doc")
   while IFS= read -r flag; do
     [ -z "$flag" ] && continue
-    if ! grep -qE "^\s*\{\"$flag\"" "$flag_table"; then
-      fail "$rel shows dcs_mine flag '$flag' absent from the kFlagTable in tools/dcs_mine.cc"
+    if ! printf '%s\n' "$known_flags" | grep -qxF -- "$flag"; then
+      fail "$rel shows flag '$flag', which neither the kFlagTable in" \
+           "tools/dcs_mine.cc nor tools/dcs_store.cc accepts"
     fi
-  done < <(grep -h 'dcs_mine' "${docs[@]}" | grep -ohE '\-\-[a-z][a-z0-9-]*' | sort -u)
+  done < <( {
+    printf '%s\n' "$lines" | grep 'dcs_mine'
+    printf '%s\n' "$lines" | grep -oE '`[^`]+`'
+  } | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u)
 done
 
 if [ "$status" -eq 0 ]; then

@@ -10,10 +10,17 @@
 # persistent store via api/artifact_store.h), so a forbidden include is
 # always a layering bug, not a missing feature.
 #
+# Layer rule: inside src/, a directory includes only itself and the layers
+# below it:  util → graph → {densest, gen, baseline} → core → {api, store}.
+# Directories in one {} group are peers and do not include each other, except
+# api and store: store serializes api's PreparedPipeline and api re-exports
+# the store. The table below is the whole rule; a new src/ directory needs a
+# row.
+#
 # Orphan rule: every src/**/*.h must be included by some file in src/,
 # tools/, examples/, bench/, perfbench/ or include/ other than its own .cc —
-# a library module only its own tests reach is dead code. The exceptions are
-# listed in `oracles` below.
+# a library module only its own tests reach is dead code (test oracles live
+# under tests/oracles/).
 #
 # Usage: check_layering.sh [repo-root]
 
@@ -48,16 +55,41 @@ for f in "${files[@]}"; do
   fi
 done
 
-# Test oracles: exact and slow reference solvers the unit tests check the
-# fast paths against. No library path calls them by design; they leave
-# libdcs once they move under tests/.
-oracles=(densest/exact.h densest/goldberg.h densest/max_clique.h)
+declare -A allowed=(
+  [util]="util"
+  [graph]="graph util"
+  [densest]="densest graph util"
+  [gen]="gen graph util"
+  [baseline]="baseline graph util"
+  [core]="core densest gen baseline graph util"
+  [api]="api store core densest gen baseline graph util"
+  [store]="store api core densest gen baseline graph util"
+)
+for dir_path in "$root"/src/*/; do
+  dir=$(basename "$dir_path")
+  if [ -z "${allowed[$dir]+x}" ]; then
+    status=1
+    echo "layering: src/$dir/ has no row in the layer table"
+    continue
+  fi
+  while IFS=: read -r file line text; do
+    target=$(sed -E 's/.*"([a-z_]+)\/.*/\1/' <<< "$text")
+    case " ${allowed[$dir]} " in
+      *" $target "*) ;;
+      *)
+        status=1
+        echo "layer violation: ${file#"$root"/}:$line includes $target/ from" \
+             "$dir/ (allowed: ${allowed[$dir]})"
+        ;;
+    esac
+  done < <(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"[a-z_]+/' \
+               "$dir_path")
+done
 
 headers=0
 while IFS= read -r header; do
   rel="${header#"$root"/src/}"
   headers=$((headers + 1))
-  printf '%s\n' "${oracles[@]}" | grep -qxF "$rel" && continue
   pattern="^[[:space:]]*#[[:space:]]*include[[:space:]]*\"${rel//./\\.}\""
   includers=$(grep -rlE "$pattern" "$root"/src "$root"/tools \
       "$root"/examples "$root"/bench "$root"/perfbench "$root"/include \
@@ -71,7 +103,7 @@ done < <(find "$root/src" -name '*.h' | sort)
 
 if [ "$status" -eq 0 ]; then
   echo "layering OK: ${#files[@]} tool/example sources include only api/," \
-       "graph/io.h and util/ headers; each of $headers src/ headers has an" \
-       "includer (${#oracles[@]} test oracles excepted)"
+       "graph/io.h and util/ headers; src/ includes follow the layer order;" \
+       "each of $headers src/ headers has an includer"
 fi
 exit "$status"
