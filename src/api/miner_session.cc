@@ -186,20 +186,6 @@ void MinerSession::UseArtifactStore(std::shared_ptr<ArtifactStore> store) {
   // missing record just falls back to the lazy load / cold build below.
   store_hits_ +=
       store_->WarmBootFingerprint(graph_fingerprint_, cache_.get());
-  // Persist the base pair when its CSR content is current (no pending
-  // updates), so the file also identifies the dataset it caches
-  // (dcs_store ls). Deduped by content fingerprint: reattaching — or a
-  // second process over the same data — appends nothing.
-  if (!graphs_dirty_ && overlay_g1_.empty() && overlay_g2_.empty()) {
-    for (const Graph* graph : {&g1_, &g2_}) {
-      if (!store_->ContainsGraph(graph->ContentFingerprint())) {
-        // Best-effort: a full store disk loses the dataset record, not the
-        // session (the write-back path absorbs I/O errors the same way).
-        const Status ignored = store_->PutGraph(*graph);
-        (void)ignored;
-      }
-    }
-  }
 }
 
 Status MinerSession::ValidateUpdate(VertexId num_vertices, VertexId u,
@@ -372,19 +358,17 @@ void MinerSession::PatchGraphsAndPipelines(const std::vector<PendingDelta>& d1,
   // Copy-on-write — other sessions sharing the cache (and pinned snapshots)
   // keep the old, untouched entries. A net-zero batch (every pair's deltas
   // cancelled) leaves the fingerprint — and therefore every cached entry —
-  // valid as-is: nothing to republish.
+  // valid as-is: nothing to republish. The patched entries are not written
+  // to the store: updates are not journaled, so no restart asks for this
+  // fingerprint, and an entry evicted before its next query cold-builds
+  // and writes back once through PreparePipeline.
   const uint64_t fresh_fingerprint = CurrentFingerprint();
   if (fresh_fingerprint == stale_fingerprint) return;
   for (const auto& [key, snapshot] : cache_->SnapshotsFor(stale_fingerprint)) {
     PipelineCacheKey fresh_key = key;
     fresh_key.graph_fingerprint = fresh_fingerprint;
-    auto patched = std::make_shared<const PreparedPipeline>(
-        PatchPipeline(*snapshot, key, changed));
-    cache_->Publish(fresh_key, patched);
-    // Write the republished pipeline back so a restart after the update
-    // warm-boots the *patched* content (asynchronously — the flush path
-    // stays O(Δ) on this thread).
-    if (store_ != nullptr) store_->PutPipelineAsync(fresh_key, patched);
+    cache_->Publish(fresh_key, std::make_shared<const PreparedPipeline>(
+                                   PatchPipeline(*snapshot, key, changed)));
     ++num_republished_;
   }
 }

@@ -76,11 +76,13 @@ struct SessionOptions {
   /// Persistent artifact store (api/artifact_store.h). Null (default)
   /// keeps the session memory-only. Non-null warm-boots the session at
   /// creation — every valid stored pipeline of its graph pair is hydrated
-  /// into the pipeline cache — and thereafter pipelines this session builds
-  /// (or upgrades, or republishes after a streaming patch) are written back
+  /// into the pipeline cache — and thereafter pipelines this session
+  /// cold-builds (or upgrades with GA artifacts) are written back
   /// asynchronously, so a restarted process serves its first queries from
-  /// disk instead of rebuilding. Corrupt or stale records are silently
-  /// rebuilt over; responses are bit-identical either way.
+  /// disk instead of rebuilding. Pipelines republished by a streaming patch
+  /// stay in the cache only: no restart can name their graphs. Corrupt or
+  /// stale records are silently rebuilt over; responses are bit-identical
+  /// either way.
   std::shared_ptr<ArtifactStore> artifact_store;
   /// Graceful-degradation ladder (see HealthState in api/mining.h): once
   /// the attached store has accumulated this many failed write-backs, the
@@ -216,8 +218,8 @@ class MinerSession {
 
   /// \brief Attaches the persistent `store` (non-null) and warm-boots from
   /// it: every valid stored pipeline of this session's graph pair is
-  /// hydrated into the pipeline cache, and subsequent builds/upgrades/
-  /// republishes are written back asynchronously. See
+  /// hydrated into the pipeline cache, and subsequent cold builds and GA
+  /// upgrades are written back asynchronously. See
   /// SessionOptions::artifact_store.
   void UseArtifactStore(std::shared_ptr<ArtifactStore> store);
 

@@ -39,6 +39,13 @@ Result<Graph> ReadEdgeList(std::istream& in) {
                              ": vertex count " + std::to_string(n) +
                              " exceeds the VertexId range");
     }
+    // `>>` stops at the first non-digit, so "3.7" or "12abc" would read as
+    // a count with a leftover token; reject it like an edge row's.
+    std::string trailing;
+    if (header >> trailing) {
+      return Status::IoError("line " + std::to_string(line_number) +
+                             ": trailing tokens after vertex count");
+    }
     break;
   }
   if (n < 0) return Status::IoError("missing vertex-count header");

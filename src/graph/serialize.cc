@@ -35,11 +35,6 @@ class GraphSerializer {
     }
   }
 
-  static size_t ByteSize(const Graph& graph) {
-    return 4 + 8 + (graph.offsets_.size()) * 8 +
-           graph.neighbors_.size() * (4 + 8);
-  }
-
   static Result<Graph> Parse(std::span<const uint8_t> bytes, size_t* cursor) {
     uint32_t n = 0;
     uint64_t halves = 0;
@@ -123,10 +118,6 @@ class GraphSerializer {
 
 void AppendGraphBytes(const Graph& graph, std::string* out) {
   GraphSerializer::Append(graph, out);
-}
-
-size_t GraphByteSize(const Graph& graph) {
-  return GraphSerializer::ByteSize(graph);
 }
 
 Result<Graph> ParseGraphBytes(std::span<const uint8_t> bytes, size_t* cursor) {

@@ -1,9 +1,10 @@
 // Flat binary (de)serialization of the immutable CSR Graph.
 //
-// The persistent artifact store (store/artifact_store.h) writes graphs —
-// base pairs, cached difference graphs, GD+ — as record payloads inside its
-// checksummed pages. A Graph is already trivially flat (an offsets array and
-// a neighbor array), so the encoding is a direct dump of the CSR arrays:
+// The persistent artifact store (store/artifact_store.h) writes the graphs
+// of a prepared pipeline — the difference graph and GD+ — inside its
+// checksummed pipeline records. A Graph is already trivially flat (an
+// offsets array and a neighbor array), so the encoding is a direct dump of
+// the CSR arrays:
 //
 //   u32 num_vertices
 //   u64 num_neighbor_halves           (2m)
@@ -37,9 +38,6 @@ namespace dcs {
 
 /// \brief Appends the flat encoding of `graph` to `out`.
 void AppendGraphBytes(const Graph& graph, std::string* out);
-
-/// Exact encoded size of `graph` in bytes (what AppendGraphBytes appends).
-size_t GraphByteSize(const Graph& graph);
 
 /// \brief Parses one graph from `bytes` starting at `*cursor`, advancing
 /// `*cursor` past it.

@@ -13,7 +13,8 @@ namespace dcs {
 
 namespace {
 
-constexpr uint32_t kGraphRecord = 1;
+// The one record type. Type 1 (input graphs) is retired: the type range
+// stays 1..2, so older files still open and Open skips their type-1 frames.
 constexpr uint32_t kPipelineRecord = 2;
 
 // "DCSSTOR1" as a little-endian u64.
@@ -166,8 +167,7 @@ Result<std::shared_ptr<ArtifactStore>> ArtifactStore::Open(
   std::lock_guard<std::mutex> lock(store->mutex_);
   // Newest record per key wins (append-mostly overwrite).
   for (const RecordFrame& frame : store->log_.Scan()) {
-    (frame.type == kGraphRecord ? store->graphs_
-                                : store->pipelines_)[frame.key] = frame;
+    if (frame.type == kPipelineRecord) store->pipelines_[frame.key] = frame;
   }
   return store;
 }
@@ -181,20 +181,18 @@ ArtifactStore::~ArtifactStore() {
   if (writer_.joinable()) writer_.join();
 }
 
-Status ArtifactStore::AppendLocked(uint32_t type, uint64_t key,
-                                   const std::string& payload) {
-  DCS_ASSIGN_OR_RETURN(
-      RecordFrame frame,
-      log_.Append(type, key, payload, fault_sites::kStoreAppend));
-  (type == kGraphRecord ? graphs_ : pipelines_)[key] = frame;
+Status ArtifactStore::AppendLocked(uint64_t key, const std::string& payload) {
+  DCS_ASSIGN_OR_RETURN(RecordFrame frame,
+                       log_.Append(kPipelineRecord, key, payload,
+                                   fault_sites::kStoreAppend));
+  pipelines_[key] = frame;
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> ArtifactStore::LoadPayloadLocked(
-    Directory* directory, uint64_t key) {
+Result<std::vector<uint8_t>> ArtifactStore::LoadPayloadLocked(uint64_t key) {
   ++loads_;
-  const auto it = directory->find(key);
-  if (it == directory->end()) {
+  const auto it = pipelines_.find(key);
+  if (it == pipelines_.end()) {
     ++load_misses_;
     return Status::NotFound("no record for key");
   }
@@ -209,51 +207,18 @@ Result<std::vector<uint8_t>> ArtifactStore::LoadPayloadLocked(
     // first: the erase loop may free the entry `it` points at.
     ++load_misses_;
     const uint64_t bad_offset = it->second.offset;
-    for (Directory* d : {&graphs_, &pipelines_}) {
-      for (auto e = d->begin(); e != d->end();) {
-        e = e->second.offset >= bad_offset ? d->erase(e) : std::next(e);
-      }
+    for (auto e = pipelines_.begin(); e != pipelines_.end();) {
+      e = e->second.offset >= bad_offset ? pipelines_.erase(e) : std::next(e);
     }
     log_.MarkUnreliableFrom(bad_offset);
   }
   return payload;
 }
 
-void ArtifactStore::RejectContentLocked(Directory* directory, uint64_t key) {
+void ArtifactStore::RejectContentLocked(uint64_t key) {
   log_.CountCorruptPage();
   ++load_misses_;
-  directory->erase(key);
-}
-
-// ---- graph records ---------------------------------------------------------
-
-Status ArtifactStore::PutGraph(const Graph& graph) {
-  std::string payload;
-  payload.reserve(GraphByteSize(graph));
-  AppendGraphBytes(graph, &payload);
-  std::lock_guard<std::mutex> lock(mutex_);
-  return AppendLocked(kGraphRecord, graph.ContentFingerprint(), payload);
-}
-
-Result<Graph> ArtifactStore::LoadGraph(uint64_t fingerprint) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  DCS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                       LoadPayloadLocked(&graphs_, fingerprint));
-  size_t cursor = 0;
-  Result<Graph> parsed = ParseGraphBytes(payload, &cursor);
-  if (!parsed.ok() || cursor != payload.size() ||
-      parsed->ContentFingerprint() != fingerprint) {
-    // Checksum-valid but unparseable or mis-keyed content (a stale or
-    // hand-edited file): never let it poison the caller.
-    RejectContentLocked(&graphs_, fingerprint);
-    return Status::NotFound("graph record failed content verification");
-  }
-  return parsed;
-}
-
-bool ArtifactStore::ContainsGraph(uint64_t fingerprint) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return graphs_.count(fingerprint) != 0;
+  pipelines_.erase(key);
 }
 
 // ---- pipeline records ------------------------------------------------------
@@ -262,7 +227,7 @@ Status ArtifactStore::PutPipeline(const PipelineCacheKey& key,
                                   const PreparedPipeline& pipeline) {
   const std::string payload = SerializePipeline(key, pipeline);
   std::lock_guard<std::mutex> lock(mutex_);
-  return AppendLocked(kPipelineRecord, key.Hash(), payload);
+  return AppendLocked(key.Hash(), payload);
 }
 
 void ArtifactStore::PutPipelineAsync(
@@ -282,11 +247,11 @@ Result<PreparedPipeline> ArtifactStore::LoadPipeline(
   std::lock_guard<std::mutex> lock(mutex_);
   const uint64_t hash = key.Hash();
   DCS_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                       LoadPayloadLocked(&pipelines_, hash));
+                       LoadPayloadLocked(hash));
   Result<std::pair<PipelineCacheKey, PreparedPipeline>> parsed =
       ParsePipeline(payload);
   if (!parsed.ok()) {
-    RejectContentLocked(&pipelines_, hash);
+    RejectContentLocked(hash);
     return Status::NotFound("pipeline record failed content verification");
   }
   if (!(parsed->first == key)) {
@@ -315,7 +280,7 @@ size_t ArtifactStore::WarmBootFingerprint(uint64_t graph_fingerprint,
   for (const uint64_t hash : hashes) {
     const Result<std::vector<uint8_t>> payload = [&] {
       std::lock_guard<std::mutex> lock(mutex_);
-      return LoadPayloadLocked(&pipelines_, hash);
+      return LoadPayloadLocked(hash);
     }();
     if (!payload.ok()) continue;
     Result<std::pair<PipelineCacheKey, PreparedPipeline>> parsed =
@@ -323,7 +288,7 @@ size_t ArtifactStore::WarmBootFingerprint(uint64_t graph_fingerprint,
     // The record's embedded key must hash to its directory slot.
     if (!parsed.ok() || parsed->first.Hash() != hash) {
       std::lock_guard<std::mutex> lock(mutex_);
-      RejectContentLocked(&pipelines_, hash);
+      RejectContentLocked(hash);
       continue;
     }
     if (graph_fingerprint != 0 &&
@@ -391,7 +356,6 @@ Status ArtifactStore::last_write_error() const {
 ArtifactStoreStats ArtifactStore::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   ArtifactStoreStats stats;
-  stats.graph_records = graphs_.size();
   stats.pipeline_records = pipelines_.size();
   const RecordLogCounters& log = log_.counters();
   stats.corrupt_pages = log.corrupt_pages;
@@ -408,16 +372,13 @@ ArtifactStoreStats ArtifactStore::stats() const {
 std::vector<ArtifactRecordInfo> ArtifactStore::ListRecords() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<ArtifactRecordInfo> out;
-  out.reserve(graphs_.size() + pipelines_.size());
-  for (const auto* index : {&graphs_, &pipelines_}) {
-    for (const auto& [key, entry] : *index) {
-      ArtifactRecordInfo info;
-      info.type = entry.type;
-      info.key = key;
-      info.offset = entry.offset;
-      info.payload_bytes = entry.payload_bytes;
-      out.push_back(info);
-    }
+  out.reserve(pipelines_.size());
+  for (const auto& [key, entry] : pipelines_) {
+    ArtifactRecordInfo info;
+    info.key = key;
+    info.offset = entry.offset;
+    info.payload_bytes = entry.payload_bytes;
+    out.push_back(info);
   }
   std::sort(out.begin(), out.end(),
             [](const ArtifactRecordInfo& a, const ArtifactRecordInfo& b) {

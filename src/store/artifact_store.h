@@ -1,23 +1,26 @@
 // ArtifactStore — the disk-backed persistence layer of libdcs: a single-file,
-// page-checksummed store of graphs and prepared pipelines that survives
-// restarts.
+// page-checksummed store of prepared pipelines that survives restarts.
 //
 // Every in-memory scale layer (the shared PipelineCache, the O(Δ)-patched
 // artifacts) dies with the process; a service restarting under traffic pays
 // a full cold rebuild storm for every graph pair. The store closes that gap.
 // It is a record schema over store/record_log.h, which owns the file format
 // (superblock, checksummed frames), the trust model, the flock discipline
-// and the offline Fsck. Two record types exist: CSR graphs
-// (graph/serialize.h) keyed by Graph::ContentFingerprint, and
-// PreparedPipeline contents (difference graph, GD+, smart-init bounds with
-// the cached seed order) keyed by the hash of their full PipelineCacheKey.
+// and the offline Fsck. One record type is written: PreparedPipeline
+// contents (difference graph, GD+, smart-init bounds with the cached seed
+// order, graphs encoded by graph/serialize.h) keyed by the hash of their
+// full PipelineCacheKey. Sessions write back what they cold-build or
+// upgrade. Pipelines patched by a streaming update stay in the cache only:
+// updates are not journaled and no API exports the patched graphs, so no
+// restart can name them. Record type 1 (input graphs, which nothing read)
+// is retired: Open skips such frames in older files, and the format version
+// is unchanged.
 //
 // On top of the log the store keeps a directory of the newest record per
 // key (a rewrite appends a fresh frame). Content is verified on every load:
 // the frame checksum is re-checked, the bytes are parsed defensively (every
-// Graph invariant is re-established), and the content key is re-derived — a
-// graph record must fingerprint to its key, a pipeline record must embed its
-// exact key. Any mismatch reads as "absent", counted in `corrupt_pages`, and
+// Graph invariant is re-established), and the record must embed its exact
+// key. Any mismatch reads as "absent", counted in `corrupt_pages`, and
 // de-indexes the record and everything appended after it so the next
 // write-back truncates the rot away: the caller silently rebuilds, the store
 // converges back to clean, and a stale or corrupt file can never poison a
@@ -51,7 +54,6 @@
 #include <vector>
 
 #include "api/pipeline_cache.h"
-#include "graph/graph.h"
 #include "store/record_log.h"
 #include "util/status.h"
 
@@ -68,15 +70,14 @@ struct ArtifactStoreOptions {
 
 /// Store-lifetime counters (since Open).
 struct ArtifactStoreStats {
-  /// Valid records currently indexed, by type.
-  uint64_t graph_records = 0;
+  /// Valid pipeline records currently indexed (one per key).
   uint64_t pipeline_records = 0;
   /// Pages rejected — bad magic, truncated frame, checksum or content-key
   /// mismatch — at scan time or on a load.
   uint64_t corrupt_pages = 0;
   /// Records appended through this handle (sync and async).
   uint64_t appended_records = 0;
-  /// Load attempts (LoadGraph/LoadPipeline/warm boots), and the attempts
+  /// Load attempts (LoadPipeline and warm boots), and the attempts
   /// that found no valid record; loads - load_misses were served.
   uint64_t loads = 0;
   uint64_t load_misses = 0;
@@ -96,10 +97,9 @@ struct ArtifactStoreStats {
   uint64_t file_bytes = 0;
 };
 
-/// One indexed record page, for `dcs_store ls` and tests.
+/// One indexed pipeline record page, for `dcs_store ls` and tests.
 struct ArtifactRecordInfo {
-  uint32_t type = 0;  ///< 1 = graph, 2 = pipeline
-  uint64_t key = 0;   ///< content fingerprint (graph) or key hash (pipeline)
+  uint64_t key = 0;  ///< PipelineCacheKey::Hash of the stored pipeline
   uint64_t offset = 0;
   uint64_t payload_bytes = 0;
 };
@@ -107,9 +107,8 @@ struct ArtifactRecordInfo {
 /// Offline integrity report, for `dcs_store fsck`.
 using ArtifactFsckReport = RecordLogFsckReport;
 
-/// \brief Single-file, checksummed, fingerprint-keyed store of graphs and
-/// prepared pipelines. See the file comment for the trust, concurrency and
-/// determinism contract.
+/// \brief Single-file, checksummed, key-hashed store of prepared pipelines.
+/// See the file comment for the trust, concurrency and determinism contract.
 class ArtifactStore {
  public:
   /// Current on-disk format version; a file with a newer version is treated
@@ -117,7 +116,8 @@ class ArtifactStore {
   static constexpr uint32_t kFormatVersion = 1;
 
   /// \brief Opens (or creates) the store at `path`, validates the
-  /// superblock, and indexes every valid record.
+  /// superblock, and indexes every valid pipeline record (frames of the
+  /// retired graph type are skipped, neither indexed nor counted corrupt).
   ///
   /// A bad superblock — wrong magic, foreign endianness, future version, or
   /// a checksum mismatch — marks the whole file untrusted: the store opens
@@ -132,23 +132,12 @@ class ArtifactStore {
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
-  /// \brief Appends `graph` keyed by its ContentFingerprint (synchronous).
-  Status PutGraph(const Graph& graph);
-
-  /// \brief Loads the graph with `fingerprint`; NotFound when absent or
-  /// when the only record is corrupt (which also counts a corrupt page).
-  Result<Graph> LoadGraph(uint64_t fingerprint);
-
-  /// True when a record page is indexed under `fingerprint` (no payload
-  /// verification — a cheap existence probe to skip redundant PutGraphs).
-  bool ContainsGraph(uint64_t fingerprint) const;
-
   /// \brief Appends `pipeline` under `key` (synchronous).
   Status PutPipeline(const PipelineCacheKey& key,
                      const PreparedPipeline& pipeline);
 
   /// \brief Enqueues `pipeline` for the background writer and returns
-  /// immediately — the publish/republish hot path never blocks on disk.
+  /// immediately — the mining hot path never blocks on disk.
   /// Write failures are absorbed into stats().write_errors.
   void PutPipelineAsync(const PipelineCacheKey& key,
                         std::shared_ptr<const PreparedPipeline> pipeline);
@@ -197,22 +186,18 @@ class ArtifactStore {
     PipelineCacheKey key;
     std::shared_ptr<const PreparedPipeline> pipeline;
   };
-  // Newest valid frame per record key.
-  using Directory = std::unordered_map<uint64_t, RecordFrame>;
-
   ArtifactStore(std::string path, RecordLog log);
 
-  // Appends one record and indexes it. Mutex held.
-  Status AppendLocked(uint32_t type, uint64_t key, const std::string& payload);
+  // Appends one pipeline record and indexes it. Mutex held.
+  Status AppendLocked(uint64_t key, const std::string& payload);
   // Counts a load of `key` and reads its verified payload under a shared
   // file lock; counts a miss when the key is absent or its frame fails
   // verification, which also de-indexes the record and everything after it
   // so the next append truncates the rot. Mutex held.
-  Result<std::vector<uint8_t>> LoadPayloadLocked(Directory* directory,
-                                                 uint64_t key);
+  Result<std::vector<uint8_t>> LoadPayloadLocked(uint64_t key);
   // A verified frame whose content failed to parse or re-key: counts a
   // corrupt page and a miss, and de-indexes the key. Mutex held.
-  void RejectContentLocked(Directory* directory, uint64_t key);
+  void RejectContentLocked(uint64_t key);
   // Background thread: drains pending_writes_ through AppendLocked.
   void WriterLoop();
 
@@ -220,8 +205,8 @@ class ArtifactStore {
 
   mutable std::mutex mutex_;
   RecordLog log_;
-  Directory graphs_;
-  Directory pipelines_;
+  // Newest valid pipeline frame per key hash.
+  std::unordered_map<uint64_t, RecordFrame> pipelines_;
   // Stats (mutex-guarded) the log does not keep.
   uint64_t loads_ = 0;
   uint64_t load_misses_ = 0;

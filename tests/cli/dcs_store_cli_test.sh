@@ -6,7 +6,8 @@
 # the `# store:` line must report no hit on the first run and a hit on the
 # second, and the `# journal:` line appends and the recovered first job. Then pins the dcs_store exit-code contract: 0 for
 # fsck / journal fsck / stat / ls on the fresh files, 1 for fsck once one
-# payload byte is flipped, 2 on bad usage. Also pins the dcs_mine usage
+# payload byte is flipped, 2 on bad usage. `ls` must list pipeline rows
+# only: the store holds no input-graph records. Also pins the dcs_mine usage
 # paths: a missing value, an unknown flag and an invalid number all exit 2.
 #
 # Usage: dcs_store_cli_test.sh <dcs_mine> <dcs_store> <work-dir>
@@ -95,6 +96,13 @@ expect 0 fsck "$store"
 expect 0 fsck --quiet "$store"
 expect 0 stat "$store"
 expect 0 ls "$store"
+if grep -q '^graph ' "$dir/out.txt" ||
+   ! grep -q '^pipeline ' "$dir/out.txt"; then
+  echo "dcs_store_cli: 'dcs_store ls' should list pipeline rows and no" \
+       "graph row:" >&2
+  cat "$dir/out.txt" >&2
+  status=1
+fi
 expect 0 journal fsck "$journal"
 expect 0 journal stat "$journal"
 expect 0 journal ls "$journal"

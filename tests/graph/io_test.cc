@@ -88,6 +88,27 @@ TEST(IoTest, VertexCountBeyondVertexIdRangeRejected) {
   }
 }
 
+// A header with anything after the count fails on its own line, never
+// reading as its leading integer.
+void ExpectHeaderRejected(const std::string& header) {
+  std::stringstream in("# header\n" + header + "\n0 1 1.0\n");
+  auto g = ReadEdgeList(in);
+  ASSERT_FALSE(g.ok()) << header;
+  EXPECT_TRUE(g.status().IsIoError()) << header;
+  EXPECT_NE(g.status().message().find("line 2"), std::string::npos)
+      << g.status().message();
+}
+
+TEST(IoTest, FractionalVertexCountRejected) { ExpectHeaderRejected("3.7"); }
+
+TEST(IoTest, VertexCountWithTrailingWordRejected) {
+  ExpectHeaderRejected("3 extra");
+}
+
+TEST(IoTest, VertexCountWithGluedSuffixRejected) {
+  ExpectHeaderRejected("12abc");
+}
+
 TEST(IoTest, MalformedEdgeRejected) {
   std::stringstream in("3\n0 1\n");
   auto g = ReadEdgeList(in);

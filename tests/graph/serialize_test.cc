@@ -26,7 +26,9 @@ std::vector<uint8_t> Bytes(const std::string& s) {
 Graph RoundTrip(const Graph& graph) {
   std::string encoded;
   AppendGraphBytes(graph, &encoded);
-  EXPECT_EQ(encoded.size(), GraphByteSize(graph));
+  // u32 n, u64 2m, u64 offsets[n + 1], then (u32 to, u64 weight) per half.
+  EXPECT_EQ(encoded.size(), 4 + 8 + (graph.NumVertices() + size_t{1}) * 8 +
+                                2 * graph.NumEdges() * (4 + 8));
   const std::vector<uint8_t> bytes = Bytes(encoded);
   size_t cursor = 0;
   Result<Graph> parsed = ParseGraphBytes(bytes, &cursor);

@@ -3,7 +3,9 @@
 // async write-back, and the trust model — a truncated tail, a flipped bit,
 // a foreign magic and a future format version must all read as absent,
 // force the silent rebuild-and-overwrite path, and leave the store-warmed
-// MiningResponses bit-identical to cold-built ones.
+// MiningResponses bit-identical to cold-built ones. Streaming updates
+// write nothing back: their patched pipelines live in the cache only, and a
+// restart over the post-update graphs cold-builds and writes back once.
 
 #include "store/artifact_store.h"
 
@@ -13,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,6 +26,7 @@
 #include "api/mining_service.h"
 #include "core/newsea.h"
 #include "gen/coauthor.h"
+#include "graph/graph_builder.h"
 #include "test_util.h"
 #include "util/checksum.h"
 #include "util/rng.h"
@@ -85,13 +89,11 @@ TEST(ArtifactStoreTest, OpenCreatesReopenKeepsEmpty) {
   std::filesystem::remove(path);
   {
     auto store = OpenOrDie(path);
-    const ArtifactStoreStats stats = store->stats();
-    EXPECT_EQ(stats.graph_records, 0u);
-    EXPECT_EQ(stats.pipeline_records, 0u);
+    EXPECT_EQ(store->stats().pipeline_records, 0u);
   }
   EXPECT_TRUE(std::filesystem::exists(path));
   auto reopened = OpenOrDie(path);
-  EXPECT_EQ(reopened->stats().graph_records, 0u);
+  EXPECT_EQ(reopened->stats().pipeline_records, 0u);
 
   ArtifactStoreOptions no_create;
   no_create.create_if_missing = false;
@@ -99,25 +101,6 @@ TEST(ArtifactStoreTest, OpenCreatesReopenKeepsEmpty) {
       ArtifactStore::Open(StorePath("does_not_exist"), no_create);
   EXPECT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound());
-}
-
-TEST(ArtifactStoreTest, GraphRoundTripByFingerprint) {
-  const std::string path = StorePath("graph_roundtrip");
-  std::filesystem::remove(path);
-  auto store = OpenOrDie(path);
-  const Graph g1 = Fig1G1();
-  ASSERT_TRUE(store->PutGraph(g1).ok());
-  EXPECT_TRUE(store->ContainsGraph(g1.ContentFingerprint()));
-  EXPECT_FALSE(store->ContainsGraph(g1.ContentFingerprint() + 1));
-
-  Result<Graph> loaded = store->LoadGraph(g1.ContentFingerprint());
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->ContentFingerprint(), g1.ContentFingerprint());
-  EXPECT_EQ(loaded->UndirectedEdges(), g1.UndirectedEdges());
-
-  Result<Graph> absent = store->LoadGraph(0xDEADBEEFu);
-  EXPECT_FALSE(absent.ok());
-  EXPECT_TRUE(absent.status().IsNotFound());
 }
 
 TEST(ArtifactStoreTest, PipelineRoundTripAcrossReopen) {
@@ -331,6 +314,181 @@ TEST(ArtifactStoreSessionTest, MiningServiceAttachesStore) {
   }
 }
 
+// ---- streaming updates -----------------------------------------------------
+
+// The weights one side holds after each fenced batch, folded as MinerSession
+// folds them: a batch's deltas per pair summed in arrival order, then added
+// to the old weight.
+struct WeightLedger {
+  std::map<uint64_t, double> weights;
+
+  explicit WeightLedger(const Graph& base) {
+    for (const Edge& e : base.UndirectedEdges()) {
+      weights[PackVertexPair(e.u, e.v)] = e.weight;
+    }
+  }
+
+  void ApplyBatch(const std::map<uint64_t, double>& batch_sums) {
+    for (const auto& [key, sum] : batch_sums) weights[key] += sum;
+  }
+
+  Graph Build(VertexId n) const {
+    GraphBuilder builder(n);
+    for (const auto& [key, weight] : weights) {
+      const VertexPair pair = UnpackVertexPair(key);
+      builder.AddEdgeUnchecked(pair.u, pair.v, weight);
+    }
+    Result<Graph> graph = builder.Build();
+    DCS_CHECK(graph.ok());
+    return std::move(graph).value();
+  }
+};
+
+// The benchmark's multi-tenant streaming request: top-1 and the top-3
+// harvest alternate on one pipeline key.
+MiningRequest StreamRequest(int index) {
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+  request.top_k = index % 2 == 0 ? 1 : 3;
+  return request;
+}
+
+MiningServiceOptions StreamServiceOptions(
+    std::shared_ptr<ArtifactStore> store) {
+  PipelineCacheOptions cache_options;
+  cache_options.max_entries = 8;
+  MiningServiceOptions options;
+  options.num_executors = 2;
+  options.shared_cache = std::make_shared<PipelineCache>(cache_options);
+  options.artifact_store = std::move(store);
+  return options;
+}
+
+MiningResponse SubmitAndWait(MiningService* service, TenantId tenant,
+                             const MiningRequest& request) {
+  Result<JobId> job = service->Submit(tenant, request);
+  DCS_CHECK(job.ok()) << job.status().ToString();
+  Result<JobStatus> status = service->Wait(*job);
+  DCS_CHECK(status.ok()) << status.status().ToString();
+  DCS_CHECK(status->state == JobState::kDone) << status->failure.ToString();
+  return std::move(status->response);
+}
+
+// A memory-only session built from scratch over the ledgers' graphs.
+MiningResponse MineFromScratch(const WeightLedger& g1, const WeightLedger& g2,
+                               VertexId n, const MiningRequest& request) {
+  Result<MinerSession> session =
+      MinerSession::Create(g1.Build(n), g2.Build(n));
+  DCS_CHECK(session.ok()) << session.status().ToString();
+  Result<MiningResponse> response = session->Mine(request);
+  DCS_CHECK(response.ok()) << response.status().ToString();
+  return std::move(response).value();
+}
+
+constexpr int kStreamBatches = 12;
+constexpr int kUpdatesPerBatch = 8;
+
+// One lifetime shaped like a streaming tenant: a store, a shared cache, two
+// executors, and kStreamBatches fenced batches of kUpdatesPerBatch updates,
+// each followed by a Submit/Wait. Every response must equal a from-scratch
+// session over the ledgers, and once the first mine's cold build has been
+// written back, no batch may append to the store: the patched pipelines
+// are republished into the cache only. Leaves the post-update weights in
+// the ledgers.
+void RunFencedUpdateStream(const CoauthorData& data,
+                           std::shared_ptr<ArtifactStore> store,
+                           WeightLedger* g1, WeightLedger* g2) {
+  const VertexId n = data.g1.NumVertices();
+  MiningServiceOptions options = StreamServiceOptions(store);
+  const std::shared_ptr<PipelineCache> cache = options.shared_cache;
+  MiningService service(std::move(options));
+  Result<MinerSession> session = MinerSession::Create(data.g1, data.g2);
+  ASSERT_TRUE(session.ok());
+  Result<TenantId> tenant = service.AddTenant(std::move(*session));
+  ASSERT_TRUE(tenant.ok());
+
+  Rng rng(20261019);
+  uint64_t appended_after_first_mine = 0;
+  uint64_t bytes_after_first_mine = 0;
+  for (int batch = 0; batch <= kStreamBatches; ++batch) {
+    if (batch > 0) {
+      std::map<uint64_t, double> sums1, sums2;
+      for (int k = 0; k < kUpdatesPerBatch; ++k) {
+        const auto u = static_cast<VertexId>(rng.NextBounded(n));
+        auto v = static_cast<VertexId>(rng.NextBounded(n - 1));
+        if (v >= u) ++v;
+        const bool side1 = rng.Bernoulli(0.5);
+        const double delta = rng.Uniform(0.25, 1.0);
+        ASSERT_TRUE(service
+                        .ApplyUpdate(*tenant,
+                                     side1 ? UpdateSide::kG1 : UpdateSide::kG2,
+                                     u, v, delta)
+                        .ok());
+        (side1 ? sums1 : sums2)[PackVertexPair(u, v)] += delta;
+      }
+      g1->ApplyBatch(sums1);
+      g2->ApplyBatch(sums2);
+    }
+    const MiningRequest request = StreamRequest(batch);
+    const MiningResponse response =
+        SubmitAndWait(&service, *tenant, request);
+    EXPECT_EQ(SerializeSubgraphs(response),
+              SerializeSubgraphs(MineFromScratch(*g1, *g2, n, request)))
+        << "batch " << batch;
+    if (batch == 0) {
+      ASSERT_TRUE(store->Flush().ok());
+      appended_after_first_mine = store->stats().appended_records;
+      bytes_after_first_mine = store->stats().file_bytes;
+      EXPECT_EQ(appended_after_first_mine, 1u);  // the cold build
+    }
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  // Every batch took the O(Δ) patch path and republished the one pipeline.
+  EXPECT_EQ(cache->stats().republishes, uint64_t{kStreamBatches});
+  EXPECT_EQ(store->stats().appended_records, appended_after_first_mine);
+  EXPECT_EQ(store->stats().file_bytes, bytes_after_first_mine);
+}
+
+TEST(ArtifactStoreStreamingTest, FencedUpdateBatchesAppendNothing) {
+  const std::string path = StorePath("stream_no_append");
+  std::filesystem::remove(path);
+  const CoauthorData data = PlantedCoauthor();
+  WeightLedger g1(data.g1), g2(data.g2);
+  RunFencedUpdateStream(data, OpenOrDie(path), &g1, &g2);
+}
+
+// A restart that registers the post-update graphs finds no record for them
+// (the patched pipelines were never written), so it cold-builds — exactly
+// once — and answers bit-identically to a memory-only session.
+TEST(ArtifactStoreStreamingTest, RestartAfterUpdatesColdBuildsOnce) {
+  const std::string path = StorePath("stream_restart");
+  std::filesystem::remove(path);
+  const CoauthorData data = PlantedCoauthor();
+  const VertexId n = data.g1.NumVertices();
+  WeightLedger g1(data.g1), g2(data.g2);
+  RunFencedUpdateStream(data, OpenOrDie(path), &g1, &g2);
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  auto store = OpenOrDie(path);
+  MiningService service(StreamServiceOptions(store));
+  Result<MinerSession> session =
+      MinerSession::Create(g1.Build(n), g2.Build(n));
+  ASSERT_TRUE(session.ok());
+  Result<TenantId> tenant = service.AddTenant(std::move(*session));
+  ASSERT_TRUE(tenant.ok());
+  for (int i = 0; i < 2; ++i) {
+    const MiningRequest request = StreamRequest(i);
+    EXPECT_EQ(SerializeSubgraphs(SubmitAndWait(&service, *tenant, request)),
+              SerializeSubgraphs(MineFromScratch(g1, g2, n, request)))
+        << "request " << i;
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  const ArtifactStoreStats stats = store->stats();
+  EXPECT_GE(stats.load_misses, 1u);
+  EXPECT_EQ(stats.appended_records, 1u);  // one key, cold-built once
+  EXPECT_EQ(stats.pipeline_records, 2u);  // the first lifetime's + this one
+}
+
 // ---- corruption recovery ---------------------------------------------------
 
 std::string ReadFileBytes(const std::string& path) {
@@ -446,9 +604,11 @@ TEST(ArtifactStoreCorruptionTest, FsckReportsDamage) {
   const std::string path = StorePath("fsck_damage");
   std::filesystem::remove(path);
   const auto [key, pipeline] = MakeFig1Pipeline();
+  PipelineCacheKey earlier_key = key;
+  earlier_key.alpha = 2.0;
   {
     auto store = OpenOrDie(path);
-    ASSERT_TRUE(store->PutGraph(Fig1G1()).ok());
+    ASSERT_TRUE(store->PutPipeline(earlier_key, pipeline).ok());
     ASSERT_TRUE(store->PutPipeline(key, pipeline).ok());
   }
   std::string bytes = ReadFileBytes(path);
@@ -465,7 +625,7 @@ TEST(ArtifactStoreCorruptionTest, FsckReportsDamage) {
   // The damaged record reads as absent through a handle, and is counted.
   auto store = OpenOrDie(path);
   EXPECT_FALSE(store->LoadPipeline(key).ok());
-  EXPECT_TRUE(store->LoadGraph(Fig1G1().ContentFingerprint()).ok());
+  EXPECT_TRUE(store->LoadPipeline(earlier_key).ok());
   EXPECT_GE(store->stats().corrupt_pages, 1u);
 }
 
@@ -473,15 +633,18 @@ TEST(ArtifactStoreTest, ListRecordsOffsetAscending) {
   const std::string path = StorePath("ls");
   std::filesystem::remove(path);
   const auto [key, pipeline] = MakeFig1Pipeline();
+  PipelineCacheKey first_key = key;
+  first_key.alpha = 2.0;
+  PipelineCacheKey second_key = key;
+  second_key.alpha = 3.0;
   auto store = OpenOrDie(path);
-  ASSERT_TRUE(store->PutGraph(Fig1G1()).ok());
-  ASSERT_TRUE(store->PutGraph(Fig1G2()).ok());
+  ASSERT_TRUE(store->PutPipeline(first_key, pipeline).ok());
+  ASSERT_TRUE(store->PutPipeline(second_key, pipeline).ok());
   ASSERT_TRUE(store->PutPipeline(key, pipeline).ok());
   const std::vector<ArtifactRecordInfo> records = store->ListRecords();
   ASSERT_EQ(records.size(), 3u);
-  EXPECT_EQ(records[0].type, 1u);
-  EXPECT_EQ(records[0].key, Fig1G1().ContentFingerprint());
-  EXPECT_EQ(records[2].type, 2u);
+  EXPECT_EQ(records[0].key, first_key.Hash());
+  EXPECT_EQ(records[1].key, second_key.Hash());
   EXPECT_EQ(records[2].key, key.Hash());
   EXPECT_LT(records[0].offset, records[1].offset);
   EXPECT_LT(records[1].offset, records[2].offset);

@@ -7,6 +7,9 @@
 // crash schedules keep landing on the same operations. The mutation sweep
 // runs every truncation length and every single-bit flip of the superblock
 // and the first frame header through Open / load / Replay / append / Fsck.
+// The golden store begins with a frame of the retired graph type, as older
+// builds wrote one at every store attach, so the same bytes also pin that
+// such files still open and serve their pipelines.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,7 +28,9 @@
 #include "graph/serialize.h"
 #include "store/artifact_store.h"
 #include "store/job_journal.h"
+#include "store/record_log.h"
 #include "test_util.h"
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 #include "util/fault_injection.h"
 
@@ -110,11 +116,55 @@ JournalDoneRecord GoldenDone() {
   return record;
 }
 
+std::string GraphImage(const Graph& graph) {
+  std::string out;
+  AppendGraphBytes(graph, &out);
+  return out;
+}
+
+template <typename T>
+std::string VectorBits(const std::vector<T>& v) {
+  return std::string(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(T));
+}
+
+// Bit-level image of everything a pipeline record carries.
+std::string PipelineImage(const PreparedPipeline& p) {
+  const SmartInitBounds& b = p.smart_bounds;
+  return GraphImage(p.difference) + GraphImage(p.positive_part) +
+         VectorBits(b.w) + VectorBits(b.tau) + VectorBits(b.mu) +
+         VectorBits(b.max_incident) + VectorBits(b.order) +
+         (p.has_ga_artifacts ? "G" : "g") +
+         (p.validated_nonnegative ? "V" : "v");
+}
+
+// The artifact store's record-log format. The store no longer writes record
+// type 1 (input graphs), so the golden store's graph frame is framed here,
+// through the log directly, exactly as older builds appended it.
+constexpr RecordLogFormat kStoreFormat = {
+    "artifact store", 0x31524F5453534344ull, ArtifactStore::kFormatVersion,
+    /*max_record_type=*/2};
+constexpr uint32_t kLegacyGraphRecord = 1;
+constexpr size_t kSuperblockBytes = 32;
+constexpr size_t kFrameHeaderBytes = 32;
+
+void AppendLegacyGraphFrame(const std::string& path, const Graph& graph) {
+  Result<RecordLog> log = RecordLog::Open(path, kStoreFormat,
+                                          /*create_if_missing=*/true);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  log->Scan();
+  ASSERT_TRUE(log->Append(kLegacyGraphRecord, graph.ContentFingerprint(),
+                          GraphImage(graph), fault_sites::kStoreAppend)
+                  .ok());
+}
+
+// A legacy graph frame, then the golden pipeline appended by the store.
 void WriteGoldenStore(const std::string& path) {
   std::filesystem::remove(path);
+  AppendLegacyGraphFrame(path, GoldenGraph());
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
   Result<std::shared_ptr<ArtifactStore>> store = ArtifactStore::Open(path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  ASSERT_TRUE((*store)->PutGraph(GoldenGraph()).ok());
   const auto [key, pipeline] = GoldenPipeline();
   ASSERT_TRUE((*store)->PutPipeline(key, pipeline).ok());
 }
@@ -143,6 +193,45 @@ TEST(RecordLogTest, GoldenStoreBytes) {
   const std::string bytes = ReadFileBytes(path);
   EXPECT_EQ(bytes.size(), 680u);
   EXPECT_EQ(BytesChecksum(bytes), 0x79ab64a99ece8c56ull);
+}
+
+// The golden bytes are what an older build left behind: the store opens
+// them, skips the graph frame without counting it corrupt, serves the
+// pipeline bit for bit, and appends behind it without truncating anything.
+TEST(RecordLogTest, GoldenStoreWithLegacyGraphFrameServesItsPipeline) {
+  const std::string path = TempPath("golden_legacy.dcs");
+  WriteGoldenStore(path);
+  const uint64_t golden_bytes = std::filesystem::file_size(path);
+  Result<std::shared_ptr<ArtifactStore>> store = ArtifactStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->stats().pipeline_records, 1u);
+  EXPECT_EQ((*store)->stats().corrupt_pages, 0u);
+
+  const auto [key, pipeline] = GoldenPipeline();
+  Result<PreparedPipeline> loaded = (*store)->LoadPipeline(key);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(PipelineImage(*loaded), PipelineImage(pipeline));
+  PipelineCache cache;
+  EXPECT_EQ((*store)->WarmBootFingerprint(key.graph_fingerprint, &cache), 1u);
+
+  const std::vector<ArtifactRecordInfo> records = (*store)->ListRecords();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].key, key.Hash());
+  EXPECT_EQ(records[0].offset,
+            kSuperblockBytes + kFrameHeaderBytes +
+                GraphImage(GoldenGraph()).size());
+
+  ASSERT_TRUE((*store)->PutPipeline(key, pipeline).ok());
+  const ArtifactStoreStats stats = (*store)->stats();
+  EXPECT_EQ(stats.truncated_tail_bytes, 0u);
+  EXPECT_EQ(stats.corrupt_pages, 0u);
+  EXPECT_GT(stats.file_bytes, golden_bytes);
+  Result<ArtifactFsckReport> fsck = ArtifactStore::Fsck(path);
+  ASSERT_TRUE(fsck.ok());
+  EXPECT_TRUE(fsck->superblock_ok);
+  EXPECT_EQ(fsck->valid_records, 3u);
+  EXPECT_EQ(fsck->corrupt_pages, 0u);
+  EXPECT_EQ(fsck->unreliable_tail_bytes, 0u);
 }
 
 TEST(RecordLogTest, GoldenJournalBytes) {
@@ -177,10 +266,9 @@ TEST(RecordLogTest, FaultSiteHitCounts) {
     Result<std::shared_ptr<ArtifactStore>> store =
         ArtifactStore::Open(store_path);
     ASSERT_TRUE(store.ok());
-    const Graph graph = GoldenGraph();
-    ASSERT_TRUE((*store)->PutGraph(graph).ok());
-    ASSERT_TRUE((*store)->LoadGraph(graph.ContentFingerprint()).ok());
     auto [key, pipeline] = GoldenPipeline();
+    ASSERT_TRUE((*store)->PutPipeline(key, pipeline).ok());
+    ASSERT_TRUE((*store)->LoadPipeline(key).ok());
     (*store)->PutPipelineAsync(
         key, std::make_shared<const PreparedPipeline>(std::move(pipeline)));
     ASSERT_TRUE((*store)->Flush().ok());
@@ -229,49 +317,45 @@ TEST(RecordLogTest, CorruptSuperblockCountsDiscardedBytes) {
   Result<std::shared_ptr<ArtifactStore>> store = ArtifactStore::Open(path);
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->stats().truncated_tail_bytes, 0u);
-  ASSERT_TRUE((*store)->PutGraph(GoldenGraph()).ok());
+  const auto [key, pipeline] = GoldenPipeline();
+  ASSERT_TRUE((*store)->PutPipeline(key, pipeline).ok());
   EXPECT_EQ((*store)->stats().truncated_tail_bytes, bytes.size());
 }
 
 // ---- mutation sweep --------------------------------------------------------
 
-std::string GraphImage(const Graph& graph) {
-  std::string out;
-  AppendGraphBytes(graph, &out);
-  return out;
-}
-
-template <typename T>
-std::string VectorBits(const std::vector<T>& v) {
-  return std::string(reinterpret_cast<const char*>(v.data()),
-                     v.size() * sizeof(T));
-}
-
-// Bit-level image of everything a pipeline record carries.
-std::string PipelineImage(const PreparedPipeline& p) {
-  const SmartInitBounds& b = p.smart_bounds;
-  return GraphImage(p.difference) + GraphImage(p.positive_part) +
-         VectorBits(b.w) + VectorBits(b.tau) + VectorBits(b.mu) +
-         VectorBits(b.max_incident) + VectorBits(b.order) +
-         (p.has_ga_artifacts ? "G" : "g") +
-         (p.validated_nonnegative ? "V" : "v");
+// True when the image's first frame is a graph frame the structural scan
+// accepts (intact magic and type, a length inside the file) but whose
+// payload fails its checksum — a flipped checksum or length bit.
+bool LegacyFrameRotted(const std::string& bytes) {
+  if (bytes.size() < kSuperblockBytes) return false;
+  const std::span<const uint8_t> view(
+      reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  size_t cursor = kSuperblockBytes;
+  uint32_t magic = 0, type = 0;
+  uint64_t key = 0, length = 0, checksum = 0;
+  if (!ReadU32(view, &cursor, &magic) || !ReadU32(view, &cursor, &type) ||
+      !ReadU64(view, &cursor, &key) || !ReadU64(view, &cursor, &length) ||
+      !ReadU64(view, &cursor, &checksum)) {
+    return false;
+  }
+  const uint32_t kPageMagic = 0x45474150u;  // "PAGE"
+  return magic == kPageMagic && type == kLegacyGraphRecord &&
+         length <= bytes.size() - cursor &&
+         PageChecksum(bytes.data() + cursor, length) != checksum;
 }
 
 // Opens a mutated store image and checks the trust model: Open succeeds,
 // each load returns the original artifact bit for bit or NotFound, and the
-// next append leaves the file fsck-clean.
+// next append leaves the file fsck-clean. One exception is by design, like
+// the journal's below: a rotted graph frame the scan accepts is skipped by
+// Open and read by nothing, so it stays on disk and Fsck stops at it — the
+// pipeline appended behind it must still serve bit for bit.
 void CheckStoreMutant(const std::string& path, const std::string& bytes,
                       const std::string& what) {
   WriteFileBytes(path, bytes);
   Result<std::shared_ptr<ArtifactStore>> store = ArtifactStore::Open(path);
   ASSERT_TRUE(store.ok()) << what << ": " << store.status().ToString();
-  const Graph graph = GoldenGraph();
-  Result<Graph> loaded = (*store)->LoadGraph(graph.ContentFingerprint());
-  if (loaded.ok()) {
-    EXPECT_EQ(GraphImage(*loaded), GraphImage(graph)) << what;
-  } else {
-    EXPECT_TRUE(loaded.status().IsNotFound()) << what;
-  }
   const auto [key, pipeline] = GoldenPipeline();
   Result<PreparedPipeline> loaded_pipeline = (*store)->LoadPipeline(key);
   if (loaded_pipeline.ok()) {
@@ -280,10 +364,23 @@ void CheckStoreMutant(const std::string& path, const std::string& bytes,
   } else {
     EXPECT_TRUE(loaded_pipeline.status().IsNotFound()) << what;
   }
-  ASSERT_TRUE((*store)->PutGraph(graph).ok()) << what;
+  ASSERT_TRUE((*store)->PutPipeline(key, pipeline).ok()) << what;
   Result<ArtifactFsckReport> fsck = ArtifactStore::Fsck(path);
   ASSERT_TRUE(fsck.ok()) << what;
   EXPECT_TRUE(fsck->superblock_ok) << what;
+  if (LegacyFrameRotted(bytes)) {
+    EXPECT_EQ(fsck->valid_records, 0u) << what;
+    EXPECT_EQ(fsck->corrupt_pages, 1u) << what;
+    EXPECT_EQ(fsck->unreliable_tail_bytes,
+              fsck->file_bytes - kSuperblockBytes)
+        << what;
+    store = ArtifactStore::Open(path);
+    ASSERT_TRUE(store.ok()) << what;
+    Result<PreparedPipeline> reloaded = (*store)->LoadPipeline(key);
+    ASSERT_TRUE(reloaded.ok()) << what;
+    EXPECT_EQ(PipelineImage(*reloaded), PipelineImage(pipeline)) << what;
+    return;
+  }
   EXPECT_EQ(fsck->corrupt_pages, 0u) << what;
   EXPECT_EQ(fsck->unreliable_tail_bytes, 0u) << what;
 }

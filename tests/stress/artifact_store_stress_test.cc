@@ -41,11 +41,21 @@ Graph DistinctGraph(uint32_t thread, uint32_t round) {
   return MakeGraph(4, {{0, 1, w}, {1, 2, w + 0.5}, {2, 3, -w}, {0, 3, 2.0}});
 }
 
-PipelineCacheKey DistinctKey(uint32_t thread, uint32_t round) {
+// Two per-thread key families: `verified` keys carry DistinctGraph content
+// and are re-read right after their synchronous append; the others carry
+// Fig1Gd and alternate synchronous and asynchronous appends.
+PipelineCacheKey DistinctKey(uint32_t thread, uint32_t round, bool verified) {
   PipelineCacheKey key;
-  key.graph_fingerprint = 0x5354524553530000ull + thread;  // per-thread family
+  key.graph_fingerprint =
+      (verified ? 0x5645524946590000ull : 0x5354524553530000ull) + thread;
   key.alpha = 1.0 + round;
   return key;
+}
+
+PreparedPipeline DifferenceOnly(Graph difference) {
+  PreparedPipeline pipeline;
+  pipeline.difference = std::move(difference);
+  return pipeline;
 }
 
 TEST(ArtifactStoreStressTest, ConcurrentHandlesOnOneFile) {
@@ -65,23 +75,25 @@ TEST(ArtifactStoreStressTest, ConcurrentHandlesOnOneFile) {
       auto store = OpenOrDie(path);
       for (uint32_t r = 0; r < kRounds; ++r) {
         const Graph graph = DistinctGraph(t, r);
-        ASSERT_TRUE(store->PutGraph(graph).ok());
+        const PipelineCacheKey verified_key = DistinctKey(t, r, true);
+        ASSERT_TRUE(store->PutPipeline(verified_key, DifferenceOnly(graph))
+                        .ok());
 
-        PreparedPipeline pipeline;
-        pipeline.difference = Fig1Gd();
+        const PreparedPipeline pipeline = DifferenceOnly(Fig1Gd());
         if (r % 2 == 0) {
-          ASSERT_TRUE(store->PutPipeline(DistinctKey(t, r), pipeline).ok());
+          ASSERT_TRUE(
+              store->PutPipeline(DistinctKey(t, r, false), pipeline).ok());
         } else {
           store->PutPipelineAsync(
-              DistinctKey(t, r),
+              DistinctKey(t, r, false),
               std::make_shared<const PreparedPipeline>(pipeline));
         }
 
-        // Re-read our own graph through the same contended file. A handle
+        // Re-read our own record through the same contended file. A handle
         // always sees its own appends; anything else is a torn write.
-        Result<Graph> back = store->LoadGraph(graph.ContentFingerprint());
-        if (!back.ok() ||
-            back->ContentFingerprint() != graph.ContentFingerprint()) {
+        Result<PreparedPipeline> back = store->LoadPipeline(verified_key);
+        if (!back.ok() || back->difference.ContentFingerprint() !=
+                              graph.ContentFingerprint()) {
           load_failures.fetch_add(1);
         }
       }
@@ -104,17 +116,17 @@ TEST(ArtifactStoreStressTest, ConcurrentHandlesOnOneFile) {
   // A fresh handle indexes every record and can load all of them.
   auto verifier = OpenOrDie(path);
   const ArtifactStoreStats stats = verifier->stats();
-  EXPECT_EQ(stats.graph_records, uint64_t{kThreads} * kRounds);
-  EXPECT_EQ(stats.pipeline_records, uint64_t{kThreads} * kRounds);
+  EXPECT_EQ(stats.pipeline_records, uint64_t{kThreads} * kRounds * 2);
   for (uint32_t t = 0; t < kThreads; ++t) {
     for (uint32_t r = 0; r < kRounds; ++r) {
       const Graph expected = DistinctGraph(t, r);
-      Result<Graph> graph =
-          verifier->LoadGraph(expected.ContentFingerprint());
-      ASSERT_TRUE(graph.ok()) << "thread " << t << " round " << r;
-      EXPECT_EQ(graph->UndirectedEdges(), expected.UndirectedEdges());
+      Result<PreparedPipeline> verified =
+          verifier->LoadPipeline(DistinctKey(t, r, true));
+      ASSERT_TRUE(verified.ok()) << "thread " << t << " round " << r;
+      EXPECT_EQ(verified->difference.UndirectedEdges(),
+                expected.UndirectedEdges());
       Result<PreparedPipeline> pipeline =
-          verifier->LoadPipeline(DistinctKey(t, r));
+          verifier->LoadPipeline(DistinctKey(t, r, false));
       ASSERT_TRUE(pipeline.ok()) << "thread " << t << " round " << r;
       EXPECT_EQ(pipeline->difference.ContentFingerprint(),
                 Fig1Gd().ContentFingerprint());

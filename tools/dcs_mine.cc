@@ -609,11 +609,10 @@ int main(int argc, char** argv) {
       const ArtifactStoreStats stats = store->stats();
       std::printf(
           "# store: %llu hits / %llu misses, %llu corrupt pages, "
-          "%llu graph + %llu pipeline records, %llu bytes (%s)\n",
+          "%llu pipeline records, %llu bytes (%s)\n",
           static_cast<unsigned long long>(stats.loads - stats.load_misses),
           static_cast<unsigned long long>(stats.load_misses),
           static_cast<unsigned long long>(stats.corrupt_pages),
-          static_cast<unsigned long long>(stats.graph_records),
           static_cast<unsigned long long>(stats.pipeline_records),
           static_cast<unsigned long long>(stats.file_bytes),
           args.store_path.c_str());

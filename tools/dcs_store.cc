@@ -73,8 +73,6 @@ int RunStat(const std::string& path) {
   const ArtifactStoreStats stats = (*store)->stats();
   std::printf("store:            %s\n", path.c_str());
   std::printf("format version:   %u\n", ArtifactStore::kFormatVersion);
-  std::printf("graph records:    %llu\n",
-              static_cast<unsigned long long>(stats.graph_records));
   std::printf("pipeline records: %llu\n",
               static_cast<unsigned long long>(stats.pipeline_records));
   std::printf("corrupt pages:    %llu\n",
@@ -122,8 +120,7 @@ int RunLs(const std::string& path) {
   }
   std::printf("%-10s %-18s %12s %12s\n", "type", "key", "offset", "payload");
   for (const ArtifactRecordInfo& record : (*store)->ListRecords()) {
-    std::printf("%-10s %016llx %12llu %12llu\n",
-                record.type == 1 ? "graph" : "pipeline",
+    std::printf("%-10s %016llx %12llu %12llu\n", "pipeline",
                 static_cast<unsigned long long>(record.key),
                 static_cast<unsigned long long>(record.offset),
                 static_cast<unsigned long long>(record.payload_bytes));
