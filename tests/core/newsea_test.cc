@@ -9,7 +9,10 @@
 #include <string>
 
 #include "oracles/exact.h"
+#include "oracles/naive_newsea.h"
+#include "gen/coauthor.h"
 #include "graph/csr_patcher.h"
+#include "graph/difference.h"
 #include "gen/random_graphs.h"
 #include "graph/stats.h"
 #include "test_util.h"
@@ -325,6 +328,104 @@ TEST(SmartInitBoundsDeltaTest, EmptyChangeListIsANoOp) {
   EXPECT_EQ(bounds.order, before.order);
   EXPECT_EQ(bounds.w, before.w);
   EXPECT_EQ(bounds.mu, before.mu);
+}
+
+// --- the seed driver against the naive sequential loops -------------------
+
+// Bit equality of two DcsgaResults: the answer, every work counter and every
+// collected clique record, in order.
+void ExpectSameRun(const DcsgaResult& got, const DcsgaResult& want,
+                   const std::string& label) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.affinity),
+            std::bit_cast<uint64_t>(want.affinity))
+      << label;
+  EXPECT_EQ(got.support, want.support) << label;
+  ASSERT_EQ(got.x.x.size(), want.x.x.size()) << label;
+  for (size_t v = 0; v < got.x.x.size(); ++v) {
+    ASSERT_EQ(std::bit_cast<uint64_t>(got.x.x[v]),
+              std::bit_cast<uint64_t>(want.x.x[v]))
+        << label << " x[" << v << "]";
+  }
+  EXPECT_EQ(got.initializations, want.initializations) << label;
+  EXPECT_EQ(got.pruned_seeds, want.pruned_seeds) << label;
+  EXPECT_EQ(got.cd_iterations, want.cd_iterations) << label;
+  EXPECT_EQ(got.replicator_sweeps, want.replicator_sweeps) << label;
+  EXPECT_EQ(got.expansion_errors, want.expansion_errors) << label;
+  ASSERT_EQ(got.cliques.size(), want.cliques.size()) << label;
+  for (size_t i = 0; i < got.cliques.size(); ++i) {
+    const CliqueRecord& a = got.cliques[i];
+    const CliqueRecord& b = want.cliques[i];
+    EXPECT_EQ(a.members, b.members) << label << " clique " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.affinity),
+              std::bit_cast<uint64_t>(b.affinity))
+        << label << " clique " << i;
+    ASSERT_EQ(a.weights.size(), b.weights.size()) << label << " clique " << i;
+    for (size_t j = 0; j < a.weights.size(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(a.weights[j]),
+                std::bit_cast<uint64_t>(b.weights[j]))
+          << label << " clique " << i << " weight " << j;
+    }
+  }
+}
+
+// Runs RunNewSea and RunDcsgaAllInits at one shard under both Shrink kinds,
+// with and without clique collection, against the naive loops.
+void ExpectDriverMatchesNaiveLoops(const Graph& gd_plus,
+                                   const std::string& name) {
+  ASSERT_GT(gd_plus.NumEdges(), 0u) << name;
+  const SmartInitBounds bounds = ComputeSmartInitBounds(gd_plus);
+  for (const ShrinkKind shrink :
+       {ShrinkKind::kCoordinateDescent, ShrinkKind::kReplicator}) {
+    for (const bool collect : {false, true}) {
+      DcsgaOptions options;
+      options.shrink = shrink;
+      options.collect_cliques = collect;
+      const std::string label =
+          name + (shrink == ShrinkKind::kReplicator ? " replicator" : " cd") +
+          (collect ? " collect" : "");
+
+      Result<DcsgaResult> newsea = RunNewSea(gd_plus, bounds, options);
+      ASSERT_TRUE(newsea.ok()) << label << newsea.status().ToString();
+      ExpectSameRun(*newsea, ::dcs::testing::NaiveNewSea(gd_plus, bounds,
+                                                         options),
+                    label + " NewSEA");
+
+      Result<DcsgaResult> all = RunDcsgaAllInits(gd_plus, options);
+      ASSERT_TRUE(all.ok()) << label << all.status().ToString();
+      ExpectSameRun(*all, ::dcs::testing::NaiveAllInits(gd_plus, options),
+                    label + " all-inits");
+    }
+  }
+}
+
+TEST(SeedDriverOracleTest, MatchesNaiveLoopsOnRandomSignedGraphs) {
+  for (const uint64_t seed : {3u, 17u, 29u, 41u}) {
+    Rng rng(seed);
+    // Sparse enough to leave isolated GD+ vertices (pruned by all-inits).
+    Result<Graph> gd = RandomSignedGraph(/*n=*/60, /*m=*/150,
+                                         /*positive_fraction=*/0.6,
+                                         /*magnitude_lo=*/0.5,
+                                         /*magnitude_hi=*/3.0, &rng);
+    ASSERT_TRUE(gd.ok());
+    ExpectDriverMatchesNaiveLoops(gd->PositivePart(),
+                                  "signed seed " + std::to_string(seed));
+  }
+}
+
+TEST(SeedDriverOracleTest, MatchesNaiveLoopsOnGeneratorGraph) {
+  Rng rng(42);
+  CoauthorConfig config;
+  config.num_authors = 300;
+  Result<CoauthorData> data = GenerateCoauthorData(config, &rng);
+  ASSERT_TRUE(data.ok());
+  Result<Graph> gd = BuildDifferenceGraph(data->g1, data->g2);
+  ASSERT_TRUE(gd.ok());
+  ExpectDriverMatchesNaiveLoops(gd->PositivePart(), "coauthor");
+}
+
+TEST(SeedDriverOracleTest, MatchesNaiveLoopsOnFig1Pair) {
+  ExpectDriverMatchesNaiveLoops(::dcs::testing::Fig1Gd().PositivePart(),
+                                "Fig. 1");
 }
 
 }  // namespace
