@@ -13,7 +13,6 @@
 
 #include "bench_util.h"
 #include "core/newsea.h"
-#include "core/refinement.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -33,23 +32,19 @@ VariantResult RunVariant(const Graph& gd_plus,
                          const std::vector<VertexId>& order,
                          const std::vector<double>* mu) {
   WallTimer timer;
-  VariantResult out;
+  DcsgaResult run;
   AffinityState state(gd_plus);
   for (VertexId u : order) {
     if (gd_plus.Degree(u) == 0) continue;
-    if (mu != nullptr && (*mu)[u] <= out.affinity) {
+    if (mu != nullptr && (*mu)[u] <= run.affinity) {
       // With μ-descending order this is a break; with arbitrary order it is
       // only a skip — both are valid prunings of provably hopeless seeds.
       continue;
     }
-    ++out.inits;
     state.ResetToVertex(u);
-    RunSeacdInPlace(&state);
-    const RefinementRunStats refined = RefineInPlace(&state);
-    out.affinity = std::max(out.affinity, refined.affinity);
+    DescendInPlace(&state, DcsgaOptions{}, &run);
   }
-  out.seconds = timer.Seconds();
-  return out;
+  return {run.affinity, run.initializations, timer.Seconds()};
 }
 
 }  // namespace

@@ -574,16 +574,14 @@ std::string MinerSession::ResponseMemoKey(const MiningRequest& request) {
 }
 
 // True when the request's solve path can consume the shared pool: the knob
-// is honored by the builtin "dcsga" solver's top-1 NewSEA path only (the
-// top-k clique harvest is inherently sequential — see DcsgaOptions), while
+// is honored by the builtin "dcsga" solver's top-1 NewSEA path only, while
 // custom GA solvers get the pool and may use it however they like.
 bool MinerSession::WantsIntraParallelism(const MiningRequest& request) {
   if (request.ga_solver.parallelism == 1) return false;
   if (request.measure == Measure::kAverageDegree) return false;
-  // Mirror the builtin solver's sequential fallbacks (RunNewSea ignores the
-  // knob under collect_cliques; the top-k harvest is sequential) so no pool
-  // is spawned for a solve that cannot use it. Custom solvers may use the
-  // pool however they like.
+  // Mirror the seed driver's one-shard rules — collect_cliques forces one
+  // shard, and the top-k harvest (RunDcsgaAllInits) always runs one — so no
+  // pool is spawned for a solve that cannot use it.
   if (request.ga_solver_name != "dcsga") return true;
   return request.top_k == 1 && !request.ga_solver.collect_cliques;
 }
@@ -659,7 +657,7 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
 
   // Measure dispatches are the coarsest cancellation points: a token fired
   // before a dispatch aborts the whole solve, one fired mid-dispatch is the
-  // solver's to observe (the builtin "dcsga" polls per seed chunk).
+  // solver's to observe (the builtin "dcsga" polls per seed).
   if (cancel != nullptr && cancel->cancelled()) {
     return Status::Cancelled("mining request cancelled");
   }
@@ -765,17 +763,24 @@ Result<MiningResponse> MinerSession::Mine(const MiningRequest& request,
 }
 
 Result<Graph> MinerSession::DifferenceSnapshot(double alpha, bool flip) {
+  // Inspection only: an average-degree probe prepares just the difference
+  // graph, not the DCSGA artifacts.
   MiningRequest probe;
   probe.alpha = alpha;
   probe.flip = flip;
+  probe.measure = Measure::kAverageDegree;
   return DifferenceSnapshot(probe);
 }
 
 Result<Graph> MinerSession::DifferenceSnapshot(const MiningRequest& request) {
   DCS_RETURN_NOT_OK(request.Validate());
   bool reused = false;
-  DCS_ASSIGN_OR_RETURN(PipelineCache::Snapshot pipeline,
-                       PreparePipeline(request, /*need_ga=*/false, &reused));
+  // Prepare exactly what Mine(request) prepares, so a Mine that follows
+  // reuses this entry instead of superseding it with a GA upgrade (and, with
+  // a store attached, writing the pipeline a second time).
+  DCS_ASSIGN_OR_RETURN(
+      PipelineCache::Snapshot pipeline,
+      PreparePipeline(request, !AverageDegreeOnly(request), &reused));
   return pipeline->difference;
 }
 

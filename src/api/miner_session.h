@@ -168,7 +168,7 @@ class MinerSession {
   Result<MiningResponse> Mine(const MiningRequest& request);
 
   /// \brief Mine with cooperative cancellation: the solve polls `cancel`
-  /// at coarse safe points (between measures; between NewSEA seed chunks)
+  /// at coarse safe points (between measures; between DCSGA seeds)
   /// and returns Status::Cancelled once it fires, leaving the session fully
   /// reusable — no partial result is kept, the warm-start seed is untouched,
   /// and a subsequent identical request returns the exact uncancelled

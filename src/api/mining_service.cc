@@ -110,7 +110,7 @@ MiningService::~MiningService() {
     }
     recovery_pending_.clear();
     // The in-flight jobs (if any) are asked to stop; each executor observes
-    // the token between seed chunks and records the terminal state before
+    // the token between seeds and records the terminal state before
     // exiting.
     for (auto& [id, job] : jobs_) {
       if (job->state == JobState::kRunning) job->cancel.Cancel();

@@ -42,8 +42,8 @@
 //
 // Cancellation is cooperative: Cancel() on a queued job guarantees it never
 // starts; on a running job it fires the CancelToken that
-// MinerSession::Solve threads into the NewSEA seed-shard loop, which aborts
-// between seed chunks with no partial result — the session stays reusable
+// MinerSession::Solve threads into the DCSGA seed driver, which aborts
+// between seeds with no partial result — the session stays reusable
 // and resubmitting the identical request yields the exact uncancelled
 // answer.
 //

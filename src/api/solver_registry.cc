@@ -5,8 +5,6 @@
 
 #include "core/dcs_greedy.h"
 #include "core/embedding.h"
-#include "core/refinement.h"
-#include "core/seacd.h"
 #include "core/topk.h"
 #include "graph/stats.h"
 #include "util/logging.h"
@@ -96,11 +94,6 @@ Result<std::vector<RankedSubgraph>> SolveDcsgaBuiltin(
                         solver_options, context.pool);
     if (!fresh.ok()) return fresh.status();
     DcsgaResult best = std::move(*fresh);
-    telemetry->initializations += best.initializations;
-    telemetry->pruned_seeds += best.pruned_seeds;
-    telemetry->cd_iterations += best.cd_iterations;
-    telemetry->replicator_sweeps += best.replicator_sweeps;
-    telemetry->expansion_errors += best.expansion_errors;
 
     bool warm_valid = !context.warm_support.empty();
     for (VertexId v : context.warm_support) {
@@ -109,26 +102,22 @@ Result<std::vector<RankedSubgraph>> SolveDcsgaBuiltin(
     if (warm_valid) {
       // One extra initialization from the previous solution's support; kept
       // only when it strictly beats the fresh solve, so warm starting never
-      // degrades the answer.
+      // degrades the answer. NewSEA's Shrink is coordinate descent.
       AffinityState state(gd_plus);
       const Status reset = state.ResetToEmbedding(Embedding::UniformOn(
           gd_plus.NumVertices(), context.warm_support));
       if (reset.ok()) {
         telemetry->warm_start_used = true;
-        telemetry->initializations += 1;
-        const SeacdRunStats shrink =
-            RunSeacdInPlace(&state, solver_options.seacd);
-        const RefinementRunStats refined =
-            RefineInPlace(&state, solver_options.refinement_descent);
-        telemetry->cd_iterations +=
-            shrink.cd_iterations + refined.cd_iterations;
-        if (refined.affinity > best.affinity) {
-          best.affinity = refined.affinity;
-          best.x = state.ToEmbedding();
-          best.support = best.x.Support();
-        }
+        DcsgaOptions warm_options = solver_options;
+        warm_options.shrink = ShrinkKind::kCoordinateDescent;
+        DescendInPlace(&state, warm_options, &best);
       }
     }
+    telemetry->initializations += best.initializations;
+    telemetry->pruned_seeds += best.pruned_seeds;
+    telemetry->cd_iterations += best.cd_iterations;
+    telemetry->replicator_sweeps += best.replicator_sweeps;
+    telemetry->expansion_errors += best.expansion_errors;
 
     if (best.affinity > request.min_affinity) {
       RankedSubgraph ranked;

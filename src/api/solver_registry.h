@@ -65,7 +65,7 @@ struct SolverContext {
   std::span<const VertexId> warm_support;
   /// Cooperative cancellation token of this solve, or nullptr. Solvers
   /// should poll it at coarse safe points and abort with Status::Cancelled;
-  /// the builtin "dcsga" solver threads it into the NewSEA seed loop. A
+  /// the builtin "dcsga" solver threads it into its seed driver. A
   /// solver that ignores the token just cancels less promptly.
   const CancelToken* cancel = nullptr;
 };

@@ -4,9 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/kernels.h"
@@ -28,57 +28,6 @@ uint64_t HashMembers(const std::vector<VertexId>& members) {
   }
   return h;
 }
-
-// Shared multi-init machinery: one AffinityState reused across seeds.
-class MultiInitDriver {
- public:
-  MultiInitDriver(const Graph& gd_plus, const DcsgaOptions& options)
-      : gd_plus_(gd_plus), options_(options), state_(gd_plus) {}
-
-  // Runs one initialization from e_seed: Shrink/Expand then Refinement.
-  // Updates the running best and (optionally) the clique collection.
-  void RunSeed(VertexId seed, DcsgaResult* result) {
-    ++result->initializations;
-    state_.ResetToVertex(seed);
-    if (options_.shrink == ShrinkKind::kCoordinateDescent) {
-      const SeacdRunStats stats = RunSeacdInPlace(&state_, options_.seacd);
-      result->cd_iterations += stats.cd_iterations;
-    } else {
-      const SeaRunStats stats = RunSeaInPlace(&state_, options_.sea);
-      result->replicator_sweeps += stats.replicator_sweeps;
-      result->expansion_errors += stats.expansion_errors;
-    }
-    const RefinementRunStats refined =
-        RefineInPlace(&state_, options_.refinement_descent);
-    result->cd_iterations += refined.cd_iterations;
-
-    if (refined.affinity > result->affinity) {
-      result->affinity = refined.affinity;
-      result->x = state_.ToEmbedding();
-      result->support = result->x.Support();
-    }
-    if (options_.collect_cliques) {
-      std::vector<VertexId> members(state_.support().begin(),
-                                    state_.support().end());
-      std::sort(members.begin(), members.end());
-      const uint64_t key = HashMembers(members);
-      if (seen_cliques_.insert(key).second) {
-        CliqueRecord record;
-        record.weights.reserve(members.size());
-        for (VertexId v : members) record.weights.push_back(state_.x(v));
-        record.members = std::move(members);
-        record.affinity = refined.affinity;
-        result->cliques.push_back(std::move(record));
-      }
-    }
-  }
-
- private:
-  const Graph& gd_plus_;
-  const DcsgaOptions& options_;
-  AffinityState state_;
-  std::unordered_set<uint64_t> seen_cliques_;
-};
 
 // Fallback solution when the graph has no positive edge: a single vertex,
 // affinity 0 (§III-B).
@@ -108,114 +57,138 @@ size_t ResolveShards(uint32_t requested, const ThreadPool* pool) {
   return std::max<size_t>(shards, 1);
 }
 
-// Seed-sharded multi-init (the parallel Algorithm 5 loop).
+// The one seed driver: NewSEA's Algorithm 5 loop and the all-inits loop.
 //
-// `order` is the μ-descending seed order. Contiguous chunks of it are handed
-// out through an atomic cursor; every shard owns an AffinityState (reset is
-// exact, so each seed's Shrink/Expand/Refine is a pure function of
-// (gd_plus, seed, options) and runs bit-identically on any thread).
+// `seeds` is walked in contiguous chunks handed out through an atomic
+// cursor, so every shard claims positions in increasing order. Each shard
+// owns an AffinityState; a reset is exact, so each seed's descent is a pure
+// function of (gd_plus, seed, options) and runs bit-identically on any
+// thread. A shard keeps its first strict improvement over the trivial
+// affinity 0; the reduction keeps (max affinity, earliest seed position).
+// One shard runs inline on the calling thread.
 //
-// Pruning is the *strict* form of Theorem 6: a seed is skipped only when
-// μ_u < best_lb. Sequential pruning (μ_u ≤ running best, in order) can skip
-// a seed whose μ equals the final best F; but such a seed satisfies
-// refined(u) ≤ μ_u ≤ F and sits after the sequential winner in μ-order, so
-// under the (max affinity, earliest order position) reduction it can never
-// displace the winner — while the strict bound guarantees every seed with
-// refined == F (μ ≥ refined == F ≥ best_lb) is descended from. Hence the
-// reduction returns exactly the sequential winner: the earliest seed
-// achieving the global best affinity, with its bit-identical embedding.
-DcsgaResult RunNewSeaSharded(const Graph& gd_plus,
-                             const SmartInitBounds& bounds,
-                             const std::vector<VertexId>& order,
-                             const DcsgaOptions& inner, size_t shards,
-                             ThreadPool* pool) {
-  struct ShardState {
-    uint64_t initializations = 0;
-    uint64_t cd_iterations = 0;
-    double best_affinity = 0.0;
+// With `mu` (Theorem 6: refined(u) ≤ μ_u for every seed u), `seeds` must be
+// in descending μ order and best_lb = max(0, every refined affinity
+// published so far) is monotone, so once a seed is pruned every later
+// position is pruned too and the walk stops there.
+//
+//  * One shard prunes at μ_u ≤ best_lb. There best_lb is exactly the running
+//    best affinity of the sequential loop, so this is Algorithm 5's early
+//    stop and the work counters are those of the textbook loop. Every seed
+//    it skips has refined ≤ μ_u ≤ best, so it cannot strictly improve the
+//    answer.
+//  * More shards prune at μ_u < best_lb (or μ_u ≤ 0), a *strict* test. The
+//    sequential loop can skip a seed whose μ equals the final best F, but
+//    such a seed has refined ≤ μ_u = F and sits after the sequential winner,
+//    so under the reduction it can never displace the winner; while the
+//    strict test descends from every seed with refined == F (μ_u ≥ F ≥
+//    best_lb). So the reduction returns exactly the sequential winner — the
+//    earliest seed reaching the global best affinity, with its bit-identical
+//    embedding. Only the work counters depend on thread timing.
+//
+// Without `mu` every seed is descended from. Clique collection
+// (options.collect_cliques) dedups per shard, so callers pass one shard; the
+// harvest depends on which seeds ran. Cancellation is polled once per seed;
+// a fired token aborts the whole solve, so no partial result escapes and a
+// cancelled job can be resubmitted for the exact full answer.
+Result<DcsgaResult> DriveSeeds(const Graph& gd_plus,
+                               std::span<const VertexId> seeds,
+                               const std::vector<double>* mu,
+                               const DcsgaOptions& options, size_t shards,
+                               ThreadPool* pool) {
+  struct Shard {
+    DcsgaResult run;  // counters, the shard's best and its cliques
     size_t best_pos = std::numeric_limits<size_t>::max();
-    Embedding best_x;
   };
-  // Chunked hand-out. Small chunks win here: a descent costs microseconds
-  // against a ~20ns cursor bump, and the pruning overshoot — seeds claimed
-  // before the first strong affinity is published — is bounded by
-  // shards × chunk, which matters on datasets where the bound kills almost
-  // everything after a handful of seeds.
+  // Small chunks win here: a descent costs microseconds against a ~20ns
+  // cursor bump, and the pruning overshoot — seeds claimed before the first
+  // strong affinity is published — is bounded by shards × chunk.
   constexpr size_t kChunkSize = 4;
   std::atomic<size_t> cursor{0};
   std::atomic<double> best_lb{0.0};  // affinity of the trivial solution
-  // Chunks are claimed in μ-order, so once one chunk's best μ falls strictly
-  // below the bound every later chunk's does too: stop handing out work.
   std::atomic<bool> exhausted{false};
+  const CancelToken* cancel = options.cancel;
 
-  std::vector<ShardState> locals(shards);
-  pool->RunTasks(shards, [&](size_t shard) {
-    ShardState& local = locals[shard];
+  std::vector<Shard> locals(shards);
+  auto run_shard = [&](size_t shard) {
+    Shard& local = locals[shard];
     AffinityState state(gd_plus);
+    std::unordered_set<uint64_t> seen_cliques;
     while (!exhausted.load(std::memory_order_relaxed)) {
-      // Cooperative cancellation, polled once per seed chunk: shards stop
-      // claiming work and the caller reports Status::Cancelled. On an
-      // uncancelled run this check never alters the claimed-chunk sequence.
-      if (inner.cancel != nullptr && inner.cancel->cancelled()) break;
       const size_t begin = cursor.fetch_add(kChunkSize);
-      if (begin >= order.size()) break;
-      const size_t end = std::min(begin + kChunkSize, order.size());
-      const double chunk_mu = bounds.mu[order[begin]];
-      if (chunk_mu <= 0.0 ||
-          chunk_mu < best_lb.load(std::memory_order_relaxed)) {
-        exhausted.store(true, std::memory_order_relaxed);
-        break;
-      }
+      if (begin >= seeds.size()) break;
+      const size_t end = std::min(begin + kChunkSize, seeds.size());
       for (size_t pos = begin; pos < end; ++pos) {
-        const VertexId seed = order[pos];
-        const double mu = bounds.mu[seed];
-        // Strict comparison — see the function comment. μ ≤ 0 seeds cannot
-        // beat the trivial solution (refined ≤ μ) and are always skipped.
-        if (mu <= 0.0 || mu < best_lb.load(std::memory_order_relaxed)) {
-          continue;
+        const VertexId seed = seeds[pos];
+        if (cancel != nullptr && cancel->cancelled()) {
+          exhausted.store(true, std::memory_order_relaxed);
+          break;
         }
-        ++local.initializations;
+        if (mu != nullptr) {
+          const double bound = best_lb.load(std::memory_order_relaxed);
+          const double mu_u = (*mu)[seed];
+          if (shards == 1 ? mu_u <= bound : mu_u <= 0.0 || mu_u < bound) {
+            exhausted.store(true, std::memory_order_relaxed);
+            break;
+          }
+        }
         state.ResetToVertex(seed);
-        const SeacdRunStats shrink = RunSeacdInPlace(&state, inner.seacd);
-        local.cd_iterations += shrink.cd_iterations;
-        const RefinementRunStats refined =
-            RefineInPlace(&state, inner.refinement_descent);
-        local.cd_iterations += refined.cd_iterations;
-        if (refined.affinity > local.best_affinity ||
-            (refined.affinity == local.best_affinity &&
-             pos < local.best_pos)) {
-          local.best_affinity = refined.affinity;
-          local.best_pos = pos;
-          local.best_x = state.ToEmbedding();
+        const double before = local.run.affinity;
+        const double affinity = DescendInPlace(&state, options, &local.run);
+        if (affinity > before) local.best_pos = pos;
+        FetchMax(&best_lb, affinity);
+        if (options.collect_cliques) {
+          std::vector<VertexId> members(state.support().begin(),
+                                        state.support().end());
+          std::sort(members.begin(), members.end());
+          if (seen_cliques.insert(HashMembers(members)).second) {
+            CliqueRecord record;
+            record.weights.reserve(members.size());
+            for (VertexId v : members) record.weights.push_back(state.x(v));
+            record.members = std::move(members);
+            record.affinity = affinity;
+            local.run.cliques.push_back(std::move(record));
+          }
         }
-        FetchMax(&best_lb, refined.affinity);
       }
     }
-  });
+  };
+  if (shards == 1) {
+    run_shard(0);
+  } else if (pool != nullptr) {
+    pool->RunTasks(shards, run_shard);
+  } else {
+    ThreadPool transient(shards - 1);
+    transient.RunTasks(shards, run_shard);
+  }
+  if (cancel != nullptr && cancel->cancelled()) {
+    return Status::Cancelled("DCSGA solve cancelled");
+  }
 
   DcsgaResult result = TrivialResult(gd_plus);
-  ShardState* winner = nullptr;
-  for (ShardState& local : locals) {
-    result.initializations += local.initializations;
-    result.cd_iterations += local.cd_iterations;
-    // Mirrors the sequential loop's strict improvement test: a seed whose
-    // refined affinity is exactly 0 never replaces the trivial solution.
-    if (local.best_pos == std::numeric_limits<size_t>::max() ||
-        local.best_affinity <= 0.0) {
-      continue;
-    }
-    if (winner == nullptr || local.best_affinity > winner->best_affinity ||
-        (local.best_affinity == winner->best_affinity &&
+  Shard* winner = nullptr;
+  for (Shard& local : locals) {
+    result.initializations += local.run.initializations;
+    result.cd_iterations += local.run.cd_iterations;
+    result.replicator_sweeps += local.run.replicator_sweeps;
+    result.expansion_errors += local.run.expansion_errors;
+    std::move(local.run.cliques.begin(), local.run.cliques.end(),
+              std::back_inserter(result.cliques));
+    if (local.best_pos == std::numeric_limits<size_t>::max()) continue;
+    if (winner == nullptr || local.run.affinity > winner->run.affinity ||
+        (local.run.affinity == winner->run.affinity &&
          local.best_pos < winner->best_pos)) {
       winner = &local;
     }
   }
   if (winner != nullptr) {
-    result.affinity = winner->best_affinity;
-    result.x = std::move(winner->best_x);
-    result.support = result.x.Support();
+    result.affinity = winner->run.affinity;
+    result.x = std::move(winner->run.x);
+    result.support = std::move(winner->run.support);
   }
-  result.pruned_seeds = order.size() - result.initializations;
+  // Every vertex that is not a descended seed was pruned: by the bound, or
+  // (all-inits) as an isolated vertex left out of `seeds`.
+  result.pruned_seeds = gd_plus.NumVertices() - result.initializations;
   return result;
 }
 
@@ -231,6 +204,28 @@ Status ValidateNonNegativeWeights(const Graph& gd_plus) {
     }
   }
   return Status::OK();
+}
+
+double DescendInPlace(AffinityState* state, const DcsgaOptions& options,
+                      DcsgaResult* result) {
+  ++result->initializations;
+  if (options.shrink == ShrinkKind::kCoordinateDescent) {
+    const SeacdRunStats shrink = RunSeacdInPlace(state, options.seacd);
+    result->cd_iterations += shrink.cd_iterations;
+  } else {
+    const SeaRunStats shrink = RunSeaInPlace(state, options.sea);
+    result->replicator_sweeps += shrink.replicator_sweeps;
+    result->expansion_errors += shrink.expansion_errors;
+  }
+  const RefinementRunStats refined =
+      RefineInPlace(state, options.refinement_descent);
+  result->cd_iterations += refined.cd_iterations;
+  if (refined.affinity > result->affinity) {
+    result->affinity = refined.affinity;
+    result->x = state->ToEmbedding();
+    result->support = result->x.Support();
+  }
+  return refined.affinity;
 }
 
 namespace {
@@ -447,60 +442,16 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
   const VertexId n = gd_plus.NumVertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
   if (gd_plus.NumEdges() == 0) return TrivialResult(gd_plus);
-  if (bounds.mu.size() != n) {
+  if (bounds.mu.size() != n || bounds.order.size() != n) {
     return Status::InvalidArgument(
         "smart-init bounds were computed for a different graph");
   }
-
-  // A cached pipeline's bounds carry the seed order precomputed (and
-  // delta-maintained); fall back to sorting only for hand-built bounds.
-  std::vector<VertexId> local_order;
-  const std::vector<VertexId>* order_ptr = &bounds.order;
-  if (bounds.order.size() != n) {
-    local_order.resize(n);
-    std::iota(local_order.begin(), local_order.end(), VertexId{0});
-    std::sort(local_order.begin(), local_order.end(),
-              [&](VertexId a, VertexId b) {
-                return SeedOrderLess(bounds.mu, a, b);
-              });
-    order_ptr = &local_order;
-  }
-  const std::vector<VertexId>& order = *order_ptr;
-
   DcsgaOptions inner = options;
   inner.shrink = ShrinkKind::kCoordinateDescent;  // NewSEA is CD by definition
-
-  const size_t shards = ResolveShards(options.parallelism, pool);
-  if (shards > 1 && !options.collect_cliques) {
-    DcsgaResult sharded;
-    if (pool != nullptr) {
-      sharded = RunNewSeaSharded(gd_plus, bounds, order, inner, shards, pool);
-    } else {
-      ThreadPool transient(shards - 1);
-      sharded =
-          RunNewSeaSharded(gd_plus, bounds, order, inner, shards, &transient);
-    }
-    // A fired token aborts the whole solve — no partial result escapes, so
-    // a cancelled job can simply be resubmitted for the exact full answer.
-    if (inner.cancel != nullptr && inner.cancel->cancelled()) {
-      return Status::Cancelled("NewSEA solve cancelled");
-    }
-    return sharded;
-  }
-
-  DcsgaResult result = TrivialResult(gd_plus);
-  MultiInitDriver driver(gd_plus, inner);
-  size_t seeds_run = 0;
-  for (VertexId u : order) {
-    if (inner.cancel != nullptr && inner.cancel->cancelled()) {
-      return Status::Cancelled("NewSEA solve cancelled");
-    }
-    if (bounds.mu[u] <= result.affinity) break;  // Theorem 6 early stop
-    ++seeds_run;
-    driver.RunSeed(u, &result);
-  }
-  result.pruned_seeds = order.size() - seeds_run;
-  return result;
+  const size_t shards = options.collect_cliques
+                            ? 1
+                            : ResolveShards(options.parallelism, pool);
+  return DriveSeeds(gd_plus, bounds.order, &bounds.mu, inner, shards, pool);
 }
 
 Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
@@ -511,21 +462,14 @@ Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
   const VertexId n = gd_plus.NumVertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
   if (gd_plus.NumEdges() == 0) return TrivialResult(gd_plus);
-
-  DcsgaResult result = TrivialResult(gd_plus);
-  MultiInitDriver driver(gd_plus, options);
+  // Isolated vertices cannot improve on the trivial solution.
+  std::vector<VertexId> seeds;
+  seeds.reserve(n);
   for (VertexId u = 0; u < n; ++u) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return Status::Cancelled("DCSGA all-inits solve cancelled");
-    }
-    // Isolated vertices cannot improve on the trivial solution.
-    if (gd_plus.Degree(u) == 0) {
-      ++result.pruned_seeds;
-      continue;
-    }
-    driver.RunSeed(u, &result);
+    if (gd_plus.Degree(u) != 0) seeds.push_back(u);
   }
-  return result;
+  return DriveSeeds(gd_plus, seeds, /*mu=*/nullptr, options, /*shards=*/1,
+                    /*pool=*/nullptr);
 }
 
 std::vector<CliqueRecord> FilterMaximalCliques(std::vector<CliqueRecord> in) {

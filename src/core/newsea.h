@@ -13,6 +13,12 @@
 //  * SEA + Refine      — replicator-dynamics SEA [18] from every vertex
 //                        (ShrinkKind::kReplicator); counts expansion errors.
 //
+// All three run through one seed driver in newsea.cc: it walks a seed order
+// (μ order with the Theorem 6 stop for NewSEA, id order without a bound for
+// the all-inits baselines) over one or more shards, and runs DescendInPlace
+// from each seed. DescendInPlace is the only Shrink/Refine body; the
+// warm-start initialization of the API layer uses it too.
+//
 // All three run on GD+: Theorem 5 shows an optimal DCSGA solution is a
 // positive clique of GD, i.e. a clique of GD+.
 
@@ -56,25 +62,26 @@ struct DcsgaOptions {
   SeacdOptions seacd;
   SeaOptions sea;
   CoordinateDescentOptions refinement_descent;
-  /// Collect every distinct positive clique found across initializations
-  /// (needed by the topic tables and Fig. 3; costs memory).
+  /// Collect every distinct positive clique found across initializations,
+  /// in seed order (needed by the topic tables and Fig. 3; costs memory).
   bool collect_cliques = false;
-  /// Worker shards for the NewSEA multi-init loop. 1 (default) runs the
-  /// exact sequential Algorithm 5 loop; 0 means "use everything granted" —
-  /// the supplied ThreadPool's concurrency, or the hardware concurrency when
-  /// no pool is passed; k > 1 asks for exactly k shards. Affinity, support
-  /// and embedding are bit-identical across all values (see RunNewSea);
-  /// the initializations / cd_iterations / pruned_seeds counters are not,
-  /// because how far Theorem 6 pruning reaches depends on thread timing.
-  /// Ignored (sequential) when collect_cliques is set: the clique harvest
-  /// depends on which seeds the bound pruned.
+  /// Seed-driver shards for RunNewSea. 1 (default) runs one shard inline on
+  /// the calling thread, which is exactly the sequential Algorithm 5 loop;
+  /// 0 means "use everything granted" — the supplied ThreadPool's
+  /// concurrency, or the hardware concurrency when no pool is passed; k > 1
+  /// asks for exactly k shards. Affinity, support and embedding are
+  /// bit-identical across all values (see RunNewSea); the initializations /
+  /// cd_iterations / pruned_seeds counters are not, because how far Theorem
+  /// 6 pruning reaches depends on thread timing. One shard is forced when
+  /// collect_cliques is set (the harvest depends on which seeds the bound
+  /// pruned); RunDcsgaAllInits always runs one shard.
   uint32_t parallelism = 1;
   /// Skip the O(m) non-negativity scan of gd_plus. Set only when the caller
   /// has already validated the graph (MinerSession validates each cached
   /// pipeline's GD+ once instead of on every solve).
   bool assume_nonnegative = false;
-  /// Cooperative cancellation: the multi-init loop polls this token between
-  /// seeds (sequential) / seed chunks (sharded) and aborts the solve with
+  /// Cooperative cancellation: the seed driver polls this token before
+  /// every seed, on every shard, and aborts the solve with
   /// Status::Cancelled once it fires. Never sampled on the uncancelled path
   /// in a way that affects results — an uncancelled run stays bit-identical.
   /// Not owned; must outlive the solve. nullptr = not cancellable.
@@ -147,6 +154,18 @@ void ApplySmartInitBoundsDelta(const Graph& old_gd_plus,
 /// DcsgaOptions::assume_nonnegative.
 Status ValidateNonNegativeWeights(const Graph& gd_plus);
 
+/// \brief One DCSGA initialization in place: Shrink (SEACD, or the replicator
+/// SEA when options.shrink says so), then Refinement (Algorithm 4), from the
+/// embedding `state` was reset to (ResetToVertex for a seed,
+/// ResetToEmbedding for a warm start).
+///
+/// Adds one initialization and the descent's work counters to `*result`, and
+/// stores the refined embedding as `result`'s best when its affinity strictly
+/// exceeds `result->affinity`. Returns the refined affinity; `state` is left
+/// on the refined embedding (a positive clique of its graph).
+double DescendInPlace(AffinityState* state, const DcsgaOptions& options,
+                      DcsgaResult* result);
+
 /// \brief NewSEA (Algorithm 5): smart-ordered initializations with the
 /// μ_u ≤ f(best) early stop; each initialization runs SEACD then Refinement.
 ///
@@ -159,7 +178,8 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
 /// \brief RunNewSea with precomputed smart-initialization bounds.
 ///
 /// `bounds` must have been computed by ComputeSmartInitBounds on this exact
-/// `gd_plus` (size-checked only). Lets callers that answer many queries on
+/// `gd_plus` (size-checked only: `mu` and the seed `order` must both have one
+/// entry per vertex, else InvalidArgument). Lets callers that answer many queries on
 /// one graph — MinerSession's pipeline cache — pay the O(m + n) bound
 /// computation once.
 Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
@@ -170,9 +190,10 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
 /// is sharded in chunks across `options.parallelism` workers on `pool`.
 ///
 /// Each shard owns its AffinityState; a shared atomic lower bound on the
-/// best affinity seen so far drives Theorem 6 pruning (strict comparison, so
-/// every seed that could still win is descended from); the reduction keeps
-/// (max affinity, earliest μ-order seed). Affinity, support and embedding
+/// best affinity seen so far drives Theorem 6 pruning (at more than one
+/// shard a strict comparison, so every seed that could still win is
+/// descended from); the reduction keeps (max affinity, earliest μ-order
+/// seed). Affinity, support and embedding
 /// are therefore bit-identical to the sequential loop for every thread
 /// count — only the work counters vary with timing.
 ///
@@ -184,8 +205,9 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
                               const DcsgaOptions& options, ThreadPool* pool);
 
 /// \brief The SEACD+Refine / SEA+Refine baselines: one initialization per
-/// vertex of `gd_plus`, no smart ordering, no pruning. Selects Shrink by
-/// `options.shrink`.
+/// non-isolated vertex of `gd_plus`, in id order, no bound (isolated
+/// vertices count as pruned_seeds). Selects Shrink by `options.shrink`; runs
+/// one shard whatever `options.parallelism` says.
 Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
                                      const DcsgaOptions& options = {});
 

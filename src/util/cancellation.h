@@ -1,8 +1,8 @@
 // Cooperative cancellation for long-running solves.
 //
 // A CancelToken is a one-way latch: any thread may call Cancel() once (or
-// many times), and workers poll cancelled() at safe points — the NewSEA
-// seed-shard loop checks between seed chunks, MinerSession::Solve checks
+// many times), and workers poll cancelled() at safe points — the DCSGA
+// seed driver checks between seeds, MinerSession::Solve checks
 // between measure dispatches. Cancellation is cooperative and coarse by
 // design: a solve either completes bit-identically to an uncancelled run or
 // aborts with Status::Cancelled and no partial result, so cancelling never

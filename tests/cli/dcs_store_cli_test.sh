@@ -4,7 +4,9 @@
 # Mines a tiny edge-list pair with `dcs_mine --store --journal` to produce a
 # real artifact store and job journal, then mines again over the same files:
 # the `# store:` line must report no hit on the first run and a hit on the
-# second, and the `# journal:` line appends and the recovered first job. Then pins the dcs_store exit-code contract: 0 for
+# second, and the `# journal:` line appends and the recovered first job. The
+# first run must leave one valid store record per pipeline record (no dead
+# frame). Then pins the dcs_store exit-code contract: 0 for
 # fsck / journal fsck / stat / ls on the fresh files, 1 for fsck once one
 # payload byte is flipped, 2 on bad usage. `ls` must list pipeline rows
 # only: the store holds no input-graph records. Also pins the dcs_mine usage
@@ -45,6 +47,20 @@ if [ "$first_hits" != "0" ]; then
   echo "dcs_store_cli: first run over an empty store reports" \
        "'$first_hits' store hits, expected 0:" >&2
   cat "$dir/mine.out" >&2
+  status=1
+fi
+# Every record the first run wrote is a live pipeline: the difference
+# snapshot dcs_mine prints prepares the same entry the mine then reuses, so
+# no superseded (dead) frame is left behind.
+valid_records=$("$store_tool" fsck "$store" |
+  sed -n 's/^valid records: *\([0-9]*\)$/\1/p')
+pipeline_records=$("$store_tool" stat "$store" |
+  sed -n 's/^pipeline records: *\([0-9]*\)$/\1/p')
+if [ -z "$valid_records" ] || [ "$valid_records" != "$pipeline_records" ]; then
+  echo "dcs_store_cli: first run left '$valid_records' valid records for" \
+       "'$pipeline_records' pipeline records:" >&2
+  "$store_tool" fsck "$store" >&2
+  "$store_tool" stat "$store" >&2
   status=1
 fi
 if ! "$mine" --g1 "$dir/g1.el" --g2 "$dir/g2.el" --measure both \

@@ -70,6 +70,21 @@ TEST(NewSeaTest, RejectsNegativeWeightsAndEmptyGraphs) {
   EXPECT_FALSE(RunNewSea(Graph(0)).ok());
 }
 
+TEST(NewSeaTest, RejectsBoundsWithoutASeedOrder) {
+  // Every producer of SmartInitBounds fills the seed order; bounds whose
+  // order does not cover the graph were built for another graph (or by
+  // hand) and are rejected rather than re-sorted.
+  Graph g = MakeGraph(4, {{0, 1, 2.0}, {1, 2, 1.0}, {2, 3, 3.0}});
+  SmartInitBounds bounds = ComputeSmartInitBounds(g);
+  ASSERT_TRUE(RunNewSea(g, bounds).ok());
+  bounds.order.clear();
+  Result<DcsgaResult> result = RunNewSea(g, bounds);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  bounds.order = {0, 1, 2};
+  EXPECT_FALSE(RunNewSea(g, bounds).ok());
+}
+
 TEST(NewSeaTest, EdgelessGraphYieldsTrivialSolution) {
   auto result = RunNewSea(Graph(5));
   ASSERT_TRUE(result.ok());
