@@ -10,7 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "graph/graph_builder.h"
+#include "oracles/naive_pipeline.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace dcs {
 namespace {
@@ -18,6 +21,7 @@ namespace {
 using ::dcs::testing::Fig1G1;
 using ::dcs::testing::Fig1G2;
 using ::dcs::testing::MakeGraph;
+using ::dcs::testing::SameGraphBits;
 
 std::vector<uint8_t> Bytes(const std::string& s) {
   return std::vector<uint8_t>(s.begin(), s.end());
@@ -35,6 +39,96 @@ Graph RoundTrip(const Graph& graph) {
   EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(cursor, bytes.size());
   return std::move(parsed).value();
+}
+
+// The fixed small signed graph whose encoding GoldenBytes pins.
+Graph GoldenGraph() {
+  return MakeGraph(4, {{0, 1, 2.0}, {1, 2, -3.0}, {0, 3, 0.5}});
+}
+
+std::string HexOf(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xF];
+  }
+  return hex;
+}
+
+TEST(GraphSerializeTest, GoldenBytes) {
+  // Little-endian, laid out as graph/serialize.h documents: the header, the
+  // offsets of rows {1,3}, {0,2}, {1}, {0}, then one (u32 to, f64 weight)
+  // record per directed half in row order.
+  const std::string expected =
+      "04000000"          // n = 4
+      "0600000000000000"  // 2m = 6
+      "0000000000000000"  // offsets
+      "0200000000000000"
+      "0400000000000000"
+      "0500000000000000"
+      "0600000000000000"
+      "01000000" "0000000000000040"  // 0 -> 1, 2.0
+      "03000000" "000000000000e03f"  // 0 -> 3, 0.5
+      "00000000" "0000000000000040"  // 1 -> 0, 2.0
+      "02000000" "00000000000008c0"  // 1 -> 2, -3.0
+      "01000000" "00000000000008c0"  // 2 -> 1, -3.0
+      "00000000" "000000000000e03f";  // 3 -> 0, 0.5
+  std::string encoded;
+  AppendGraphBytes(GoldenGraph(), &encoded);
+  EXPECT_EQ(HexOf(encoded), expected);
+}
+
+// A mutant must be rejected, or parse to a graph that satisfies every Graph
+// invariant — GraphBuilder rebuilds it bit for bit from its own edge list —
+// and re-serializes to exactly the bytes the parse consumed.
+void ExpectRejectedOrCanonical(const std::string& mutant, const char* what,
+                               size_t where) {
+  const std::vector<uint8_t> bytes = Bytes(mutant);
+  size_t cursor = 0;
+  Result<Graph> parsed = ParseGraphBytes(bytes, &cursor);
+  if (!parsed.ok()) return;
+  ASSERT_LE(cursor, bytes.size()) << what << " " << where;
+  GraphBuilder builder(parsed->NumVertices());
+  for (const Edge& e : parsed->UndirectedEdges()) {
+    builder.AddEdgeUnchecked(e.u, e.v, e.weight);
+  }
+  Result<Graph> rebuilt = builder.Build(/*zero_eps=*/0.0);
+  ASSERT_TRUE(rebuilt.ok()) << what << " " << where;
+  EXPECT_TRUE(SameGraphBits(*parsed, *rebuilt))
+      << what << " " << where << " parsed to a non-canonical graph";
+  std::string again;
+  AppendGraphBytes(*parsed, &again);
+  EXPECT_EQ(again, mutant.substr(0, cursor))
+      << what << " " << where << " does not re-serialize to its bytes";
+}
+
+TEST(GraphSerializeTest, MutationSweepRejectsOrStaysCanonical) {
+  std::string golden;
+  AppendGraphBytes(GoldenGraph(), &golden);
+  for (size_t keep = 0; keep <= golden.size(); ++keep) {
+    ExpectRejectedOrCanonical(golden.substr(0, keep), "truncation to", keep);
+  }
+  for (size_t at = 0; at < golden.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutant = golden;
+      mutant[at] = static_cast<char>(mutant[at] ^ (1 << bit));
+      ExpectRejectedOrCanonical(mutant, "bit flip at byte", at);
+    }
+  }
+  // Seeded multi-byte corruption: a few random bytes overwritten at once,
+  // which single flips cannot reach (e.g. both halves of an edge at once).
+  Rng rng(20181016);
+  for (size_t trial = 0; trial < 2000; ++trial) {
+    std::string mutant = golden;
+    const size_t writes = 1 + rng.NextBounded(4);
+    for (size_t k = 0; k < writes; ++k) {
+      mutant[rng.NextBounded(mutant.size())] =
+          static_cast<char>(rng.NextBounded(256));
+    }
+    ExpectRejectedOrCanonical(mutant, "seeded corruption trial", trial);
+  }
 }
 
 TEST(GraphSerializeTest, RoundTripIsBitIdentical) {
