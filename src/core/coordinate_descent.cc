@@ -47,7 +47,7 @@ CoordinateDescentStats DescendToLocalKkt(
   const double epsilon =
       options.epsilon_scale / static_cast<double>(allowed.size());
   while (stats.iterations < options.max_iterations) {
-    AffinityState::GradientExtremes ext;
+    GradExtremes ext;
     if (!state->ComputeExtremes(allowed, &ext)) {
       // No movable pair (e.g. all mass on one vertex with x=1 and every
       // other candidate at gradient ≥ its own): treat as converged.
@@ -62,7 +62,7 @@ CoordinateDescentStats DescendToLocalKkt(
     const VertexId i = ext.argmax;
     const VertexId j = ext.argmin;
     const double c = state->x(i) + state->x(j);
-    const double d_ij = state->StagedEdgeWeight(i, j);
+    const double d_ij = state->graph().EdgeWeight(i, j);
     // b_i = Σ_{a≠j} D(a,i)·x_a = (Dx)_i − D(i,j)·x_j, and symmetrically.
     const double b_i = state->dx(i) - d_ij * state->x(j);
     const double b_j = state->dx(j) - d_ij * state->x(i);
@@ -79,7 +79,7 @@ CoordinateDescentStats DescendToLocalKkt(
   // The budget is spent, but the last move may have closed the KKT gap: a
   // run whose gap reaches epsilon exactly on the max_iterations-th move is
   // converged, not truncated. Re-check the extremes before reporting.
-  AffinityState::GradientExtremes ext;
+  GradExtremes ext;
   if (!state->ComputeExtremes(allowed, &ext) ||
       ext.max_grad - ext.min_grad <= epsilon || ext.argmax == ext.argmin) {
     stats.converged = true;

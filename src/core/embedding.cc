@@ -70,14 +70,7 @@ AffinityState::AffinityState(const Graph& graph)
       dx_(graph.NumVertices(), 0.0),
       support_pos_(graph.NumVertices(), kNotInSupport),
       in_ever_support_(graph.NumVertices(), 0),
-      renorm_seen_(graph.NumVertices(), 0) {
-  adj_offsets_.reserve(graph.NumVertices() + size_t{1});
-  adj_offsets_.push_back(0);
-  StageAdjacencySoa(graph, &adj_targets_, &adj_weights_);
-  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
-    adj_offsets_.push_back(adj_offsets_.back() + graph.Degree(u));
-  }
-}
+      renorm_seen_(graph.NumVertices(), 0) {}
 
 void AffinityState::ResetToVertex(VertexId u) {
   DCS_CHECK(u < NumVertices());
@@ -86,7 +79,7 @@ void AffinityState::ResetToVertex(VertexId u) {
   // entry the run touched, including last-ulp cancellation residue at
   // neighbors of vertices that left the support mid-run.
   for (VertexId v : ever_support_) {
-    for (VertexId t : StagedTargets(v)) dx_[t] = 0.0;
+    for (VertexId t : graph_->NeighborsOf(v).targets()) dx_[t] = 0.0;
     x_[v] = 0.0;
     support_pos_[v] = kNotInSupport;
     in_ever_support_[v] = 0;
@@ -149,8 +142,8 @@ void AffinityState::SetX(VertexId v, double value) {
   } else {
     RemoveFromSupport(v);
   }
-  const auto targets = StagedTargets(v);
-  AxpyScatter(targets.data(), StagedWeights(v), targets.size(), delta,
+  const NeighborRow row = graph_->NeighborsOf(v);
+  AxpyScatter(row.targets().data(), row.weights().data(), row.size(), delta,
               dx_.data());
 }
 
@@ -166,18 +159,13 @@ void AffinityState::Renormalize() {
   // runs once per Expand step, and the allocation dominated it on large n.
   const uint64_t epoch = ++renorm_epoch_;
   for (VertexId v : support_) {
-    for (VertexId t : StagedTargets(v)) {
+    for (VertexId t : graph_->NeighborsOf(v).targets()) {
       if (renorm_seen_[t] != epoch) {
         renorm_seen_[t] = epoch;
         dx_[t] *= inv;
       }
     }
   }
-}
-
-double AffinityState::StagedEdgeWeight(VertexId u, VertexId v) const {
-  const auto targets = StagedTargets(u);
-  return StagedRowLookup(targets.data(), StagedWeights(u), targets.size(), v);
 }
 
 Embedding AffinityState::ToEmbedding() const {
@@ -187,17 +175,9 @@ Embedding AffinityState::ToEmbedding() const {
 }
 
 bool AffinityState::ComputeExtremes(std::span<const VertexId> candidates,
-                                    GradientExtremes* out) const {
-  GradExtremes ext;
-  if (!ScanGradientExtremes(candidates.data(), candidates.size(), x_.data(),
-                            dx_.data(), &ext)) {
-    return false;
-  }
-  out->argmax = ext.argmax;
-  out->argmin = ext.argmin;
-  out->max_grad = ext.max_grad;
-  out->min_grad = ext.min_grad;
-  return true;
+                                    GradExtremes* out) const {
+  return ScanGradientExtremes(candidates.data(), candidates.size(), x_.data(),
+                              dx_.data(), out);
 }
 
 }  // namespace dcs

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "core/kernels.h"
 #include "graph/graph.h"
 #include "util/status.h"
 
@@ -57,10 +58,9 @@ struct Embedding {
 /// Every mutation updates dx only along the edges of the vertices whose x
 /// changed. Gradient convention: ∇_v f = 2(Dx)_v; KKT multiplier λ = 2f.
 ///
-/// Construction stages the adjacency into structure-of-arrays form (dense
-/// u32 target / f64 weight streams instead of the 16-byte Neighbor AoS) so
-/// the per-move hot loops run through core/kernels.h. The kernels are
-/// bit-identical to the scalar loops they replaced.
+/// The state owns only O(n) vectors: the per-move hot loops run through
+/// core/kernels.h over the graph's own target and weight arrays, read in
+/// place. The kernels are bit-identical to the scalar loops they replaced.
 class AffinityState {
  public:
   /// Starts from the all-zeros embedding.
@@ -99,41 +99,15 @@ class AffinityState {
 
   /// Largest ∇ over {k in S : x_k < 1} and smallest ∇ over {k in S: x_k > 0};
   /// used for KKT checks and pair selection. Returns false if either set is
-  /// empty.
-  struct GradientExtremes {
-    VertexId argmax = 0;
-    VertexId argmin = 0;
-    double max_grad = 0.0;  // ∇ = 2·dx
-    double min_grad = 0.0;
-  };
+  /// empty (`*out` is then unspecified).
   bool ComputeExtremes(std::span<const VertexId> candidates,
-                       GradientExtremes* out) const;
-
-  /// Weight of edge {u,v} from the staged adjacency — same result as
-  /// Graph::EdgeWeight(u, v) (0.0 when absent) without the AoS stride.
-  double StagedEdgeWeight(VertexId u, VertexId v) const;
+                       GradExtremes* out) const;
 
  private:
   void AddToSupport(VertexId v);
   void RemoveFromSupport(VertexId v);
 
-  // Row slice [adj_offsets_[v], adj_offsets_[v+1]) of the staged SoA
-  // adjacency (same entries and order as graph_->NeighborsOf(v)).
-  std::span<const VertexId> StagedTargets(VertexId v) const {
-    return {adj_targets_.data() + adj_offsets_[v],
-            adj_targets_.data() + adj_offsets_[v + 1]};
-  }
-  const double* StagedWeights(VertexId v) const {
-    return adj_weights_.data() + adj_offsets_[v];
-  }
-
   const Graph* graph_;
-  // SoA copy of the CSR adjacency (core/kernels.h StageAdjacencySoa): the
-  // SetX/Renormalize/reset loops stream targets and weights at full
-  // cache-line density instead of striding the 16-byte Neighbor records.
-  std::vector<size_t> adj_offsets_;
-  std::vector<VertexId> adj_targets_;
-  std::vector<double> adj_weights_;
   std::vector<double> x_;
   std::vector<double> dx_;
   std::vector<VertexId> support_;

@@ -77,21 +77,6 @@ void ResetForcedKernelIsa() {
   g_forced_isa.store(-1, std::memory_order_relaxed);
 }
 
-void StageAdjacencySoa(const Graph& graph, std::vector<VertexId>* targets,
-                       std::vector<double>* weights) {
-  const size_t total = 2 * graph.NumEdges();
-  targets->clear();
-  weights->clear();
-  targets->reserve(total);
-  weights->reserve(total);
-  for (VertexId u = 0; u < graph.NumVertices(); ++u) {
-    for (const Neighbor& nb : graph.NeighborsOf(u)) {
-      targets->push_back(nb.to);
-      weights->push_back(nb.weight);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // dx accumulation (SetX inner loop)
 // ---------------------------------------------------------------------------
@@ -312,14 +297,6 @@ double SupportReduce(const VertexId* support, size_t count, const double* x,
   }
 #endif
   return SupportReduceScalar(support, count, x, dx);
-}
-
-double StagedRowLookup(const VertexId* targets, const double* weights,
-                       size_t count, VertexId v) {
-  const VertexId* end = targets + count;
-  const VertexId* it = std::lower_bound(targets, end, v);
-  if (it == end || *it != v) return 0.0;
-  return weights[it - targets];
 }
 
 void SeedOrderSort(const std::vector<double>& mu,

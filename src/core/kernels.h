@@ -1,8 +1,10 @@
-// The measured kernel layer: SIMD + memory-layout implementations of the
-// hot loops every DCSGA solve runs — dx (affinity) accumulation, the
-// gradient-extremes scan, the support reduction and the smart-init seed
-// sort — behind one runtime ISA dispatcher. The pipeline's graph steps
-// (difference, discretize, clamp, GD+) have one body each, in graph/.
+// The measured kernel layer: SIMD implementations of the hot loops every
+// DCSGA solve runs — dx (affinity) accumulation, the gradient-extremes
+// scan, the support reduction and the smart-init seed sort — behind one
+// runtime ISA dispatcher. The kernels read the Graph's own target and
+// weight arrays in place (graph/graph.h owns the one adjacency layout), and
+// the pipeline's graph steps (difference, discretize, clamp, GD+) have one
+// body each, in graph/.
 //
 // Exactness contract (the ROADMAP float-reassociation rule):
 //  * Every kernel is *bit-identical* to the scalar reference it replaced,
@@ -57,27 +59,19 @@ void ForceKernelIsa(KernelIsa isa);
 /// Returns dispatch to automatic CPU detection.
 void ResetForcedKernelIsa();
 
-/// \brief Structure-of-arrays staging of a CSR adjacency: `targets` and
-/// `weights` hold the same entries as the Graph's Neighbor array, row order
-/// preserved, but split into dense u32 / f64 streams (16-byte AoS stride →
-/// 4+8 byte SoA) so the per-seed kernels stream at full cache-line density.
-void StageAdjacencySoa(const Graph& graph, std::vector<VertexId>* targets,
-                       std::vector<double>* weights);
-
 /// \brief dx[targets[i]] += weights[i] * delta for i in [0, count) — the
-/// AffinityState::SetX inner loop over one staged row. The products are
+/// AffinityState::SetX inner loop over one graph row. The products are
 /// vectorized (one rounding each, never fused); the scatter adds run in row
 /// order to distinct addresses, so the result is exact on every ISA.
 /// Software-prefetches dx at upcoming targets of the sorted row.
 void AxpyScatter(const VertexId* targets, const double* weights, size_t count,
                  double delta, double* dx);
 
-/// Result of ScanGradientExtremes (mirrors
-/// AffinityState::GradientExtremes).
+/// Result of ScanGradientExtremes and AffinityState::ComputeExtremes.
 struct GradExtremes {
   VertexId argmax = 0;
   VertexId argmin = 0;
-  double max_grad = 0.0;
+  double max_grad = 0.0;  // ∇ = 2·dx
   double min_grad = 0.0;
 };
 
@@ -95,12 +89,6 @@ bool ScanGradientExtremes(const VertexId* candidates, size_t count,
 /// with one rounding per term — bit-identical on every ISA.
 double SupportReduce(const VertexId* support, size_t count, const double* x,
                      const double* dx);
-
-/// \brief Binary search of `v` in a sorted staged row; returns the paired
-/// weight or 0.0 when absent. Identical to Graph::EdgeWeight on the same
-/// row, minus the AoS stride.
-double StagedRowLookup(const VertexId* targets, const double* weights,
-                       size_t count, VertexId v);
 
 /// \brief Fills `order` with the vertex ids 0..mu.size()-1 sorted by the
 /// smart-init seed order: descending mu, ties by ascending id (newsea's

@@ -60,7 +60,12 @@ Graph CsrPatcher::Apply(const Graph& base, std::span<const EdgePatch> patches,
             });
 
   // Merge each touched row with its (sorted) changes into a scratch area.
-  std::vector<Neighbor> scratch;
+  std::vector<VertexId> scratch_targets;
+  std::vector<double> scratch_weights;
+  const auto emit = [&](VertexId to, double weight) {
+    scratch_targets.push_back(to);
+    scratch_weights.push_back(weight);
+  };
   struct TouchedRow {
     VertexId row;
     size_t begin;
@@ -72,19 +77,20 @@ Graph CsrPatcher::Apply(const Graph& base, std::span<const EdgePatch> patches,
     const VertexId row = changes[ci].row;
     size_t ce = ci;
     while (ce < changes.size() && changes[ce].row == row) ++ce;
-    const size_t begin = scratch.size();
-    const std::span<const Neighbor> old_row = base.NeighborsOf(row);
+    const size_t begin = scratch_targets.size();
+    const NeighborRow old_row = base.NeighborsOf(row);
     size_t oi = 0;
     for (size_t k = ci; k < ce; ++k) {
       const RowChange& change = changes[k];
       while (oi < old_row.size() && old_row[oi].to < change.to) {
-        scratch.push_back(old_row[oi++]);
+        emit(old_row[oi].to, old_row[oi].weight);
+        ++oi;
       }
       if (oi < old_row.size() && old_row[oi].to == change.to) ++oi;  // rewritten
-      if (change.keep) scratch.push_back(Neighbor{change.to, change.weight});
+      if (change.keep) emit(change.to, change.weight);
     }
-    while (oi < old_row.size()) scratch.push_back(old_row[oi++]);
-    touched.push_back(TouchedRow{row, begin, scratch.size()});
+    for (; oi < old_row.size(); ++oi) emit(old_row[oi].to, old_row[oi].weight);
+    touched.push_back(TouchedRow{row, begin, scratch_targets.size()});
     ci = ce;
   }
 
@@ -104,24 +110,32 @@ Graph CsrPatcher::Apply(const Graph& base, std::span<const EdgePatch> patches,
     }
   }
 
-  // Assemble: untouched row runs are carried over with one bulk contiguous
-  // copy each (the CSR adjacency is a single array, so a run of untouched
-  // rows is one contiguous span); merged rows are spliced from scratch.
-  std::vector<Neighbor> neighbors(offsets[n]);
+  // Assemble both arrays: untouched row runs are carried over with one bulk
+  // contiguous copy each (a run of untouched rows is one contiguous span of
+  // each CSR array); merged rows are spliced from scratch.
+  std::vector<VertexId> targets(offsets[n]);
+  std::vector<double> weights(offsets[n]);
+  const auto carry = [&](VertexId first_row, VertexId end_row) {
+    const size_t from = base.offsets_[first_row];
+    const size_t to = base.offsets_[end_row];
+    std::copy(base.targets_.begin() + from, base.targets_.begin() + to,
+              targets.begin() + offsets[first_row]);
+    std::copy(base.weights_.begin() + from, base.weights_.begin() + to,
+              weights.begin() + offsets[first_row]);
+  };
   VertexId run_start = 0;
   for (const TouchedRow& tr : touched) {
-    std::copy(base.neighbors_.begin() + base.offsets_[run_start],
-              base.neighbors_.begin() + base.offsets_[tr.row],
-              neighbors.begin() + offsets[run_start]);
-    std::copy(scratch.begin() + tr.begin, scratch.begin() + tr.end,
-              neighbors.begin() + offsets[tr.row]);
+    carry(run_start, tr.row);
+    std::copy(scratch_targets.begin() + tr.begin,
+              scratch_targets.begin() + tr.end, targets.begin() + offsets[tr.row]);
+    std::copy(scratch_weights.begin() + tr.begin,
+              scratch_weights.begin() + tr.end, weights.begin() + offsets[tr.row]);
     run_start = tr.row + 1;
   }
-  std::copy(base.neighbors_.begin() + base.offsets_[run_start],
-            base.neighbors_.end(), neighbors.begin() + offsets[run_start]);
+  carry(run_start, n);
 
   if (accumulator != nullptr) *accumulator = acc;
-  return Graph(std::move(offsets), std::move(neighbors));
+  return Graph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
 }  // namespace dcs

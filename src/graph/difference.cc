@@ -28,26 +28,32 @@ Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
   // the rows come out mirror-identical. Pairs with |d| <= kDefaultZeroEps are
   // dropped: exact cancellations and the tiny residues of non-integral ones.
   std::vector<size_t> offsets(n + 1, 0);
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(g1.neighbors_.size() + g2.neighbors_.size());
+  std::vector<VertexId> targets;
+  std::vector<double> weights;
+  targets.reserve(g1.targets_.size() + g2.targets_.size());
+  weights.reserve(targets.capacity());
   for (VertexId u = 0; u < n; ++u) {
-    const auto row1 = g1.NeighborsOf(u);
-    const auto row2 = g2.NeighborsOf(u);
+    const NeighborRow row1 = g1.NeighborsOf(u);
+    const NeighborRow row2 = g2.NeighborsOf(u);
+    const auto to1 = row1.targets();
+    const auto to2 = row2.targets();
+    const auto w1 = row1.weights();
+    const auto w2 = row2.weights();
     size_t i = 0, j = 0;
-    while (i < row1.size() || j < row2.size()) {
+    while (i < to1.size() || j < to2.size()) {
       VertexId v;
       double d;
-      if (j == row2.size() || (i < row1.size() && row1[i].to < row2[j].to)) {
-        v = row1[i].to;
-        d = -alpha * row1[i].weight;
+      if (j == to2.size() || (i < to1.size() && to1[i] < to2[j])) {
+        v = to1[i];
+        d = -alpha * w1[i];
         ++i;
-      } else if (i == row1.size() || row2[j].to < row1[i].to) {
-        v = row2[j].to;
-        d = row2[j].weight;
+      } else if (i == to1.size() || to2[j] < to1[i]) {
+        v = to2[j];
+        d = w2[j];
         ++j;
       } else {
-        v = row1[i].to;
-        d = row2[j].weight - alpha * row1[i].weight;
+        v = to1[i];
+        d = w2[j] - alpha * w1[i];
         ++i;
         ++j;
       }
@@ -55,13 +61,15 @@ Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
         return Status::InvalidArgument("non-finite edge weight");
       }
       if (std::fabs(d) > kDefaultZeroEps) {
-        neighbors.push_back(Neighbor{v, d});
+        targets.push_back(v);
+        weights.push_back(d);
       }
     }
-    offsets[u + 1] = neighbors.size();
+    offsets[u + 1] = targets.size();
   }
-  neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors));
+  targets.shrink_to_fit();
+  weights.shrink_to_fit();
+  return Graph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
 Status DiscretizeSpec::Validate() const {
@@ -111,19 +119,23 @@ Result<Graph> DiscretizeWeights(const Graph& gd, const DiscretizeSpec& spec) {
   // same level, so the rows stay mirror-symmetric; a level that maps to zero
   // (or below kDefaultZeroEps) drops the edge.
   std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
-  std::vector<Neighbor> neighbors;
-  neighbors.reserve(gd.neighbors_.size());
+  std::vector<VertexId> targets;
+  std::vector<double> weights;
+  targets.reserve(gd.targets_.size());
+  weights.reserve(gd.weights_.size());
   for (VertexId u = 0; u < n; ++u) {
     for (const Neighbor& nb : gd.NeighborsOf(u)) {
       const double mapped = spec.Map(nb.weight);
       if (std::fabs(mapped) > kDefaultZeroEps) {
-        neighbors.push_back(Neighbor{nb.to, mapped});
+        targets.push_back(nb.to);
+        weights.push_back(mapped);
       }
     }
-    offsets[u + 1] = neighbors.size();
+    offsets[u + 1] = targets.size();
   }
-  neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors));
+  targets.shrink_to_fit();
+  weights.shrink_to_fit();
+  return Graph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
 }  // namespace dcs

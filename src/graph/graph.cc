@@ -21,12 +21,11 @@ double Graph::WeightedDegree(VertexId u) const {
 
 double Graph::EdgeWeight(VertexId u, VertexId v) const {
   DCS_CHECK(u < NumVertices() && v < NumVertices());
-  auto row = NeighborsOf(u);
-  auto it = std::lower_bound(
-      row.begin(), row.end(), v,
-      [](const Neighbor& nb, VertexId target) { return nb.to < target; });
-  if (it != row.end() && it->to == v) return it->weight;
-  return 0.0;
+  const auto first = targets_.begin() + offsets_[u];
+  const auto last = targets_.begin() + offsets_[u + 1];
+  const auto it = std::lower_bound(first, last, v);
+  if (it == last || *it != v) return 0.0;
+  return weights_[it - targets_.begin()];
 }
 
 std::vector<Edge> Graph::UndirectedEdges() const {
@@ -78,29 +77,33 @@ std::vector<double> Graph::MaxIncidentWeightPerVertex() const {
 
 Graph Graph::PositivePart() const {
   const VertexId n = NumVertices();
-  // Branchless single-pass compaction: every neighbor is written, the write
+  // Branchless single-pass compaction: every half is written, the write
   // cursor only advances past the kept ones, so rows stay sorted.
   std::vector<size_t> offsets(static_cast<size_t>(n) + 1, 0);
-  std::vector<Neighbor> neighbors(neighbors_.size());
+  std::vector<VertexId> targets(targets_.size());
+  std::vector<double> weights(weights_.size());
   size_t out = 0;
   for (VertexId u = 0; u < n; ++u) {
     const size_t end = offsets_[u + 1];
     for (size_t i = offsets_[u]; i < end; ++i) {
-      const Neighbor nb = neighbors_[i];
-      neighbors[out] = nb;
-      out += nb.weight > 0.0 ? 1 : 0;
+      const double w = weights_[i];
+      targets[out] = targets_[i];
+      weights[out] = w;
+      out += w > 0.0 ? 1 : 0;
     }
     offsets[u + 1] = out;
   }
-  neighbors.resize(out);
-  neighbors.shrink_to_fit();
-  return Graph(std::move(offsets), std::move(neighbors));
+  targets.resize(out);
+  targets.shrink_to_fit();
+  weights.resize(out);
+  weights.shrink_to_fit();
+  return Graph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
 Graph Graph::WeightsClampedAbove(double cap) const {
   DCS_CHECK(cap > 0.0) << "clamp cap must be positive, got " << cap;
   Graph out = *this;
-  for (Neighbor& nb : out.neighbors_) nb.weight = std::min(nb.weight, cap);
+  for (double& w : out.weights_) w = std::min(w, cap);
   return out;
 }
 

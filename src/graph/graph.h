@@ -10,6 +10,7 @@
 #ifndef DCS_GRAPH_GRAPH_H_
 #define DCS_GRAPH_GRAPH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -52,12 +53,67 @@ inline VertexPair UnpackVertexPair(uint64_t key) {
           static_cast<VertexId>(key & 0xFFFFFFFFull)};
 }
 
-/// One directed half of an undirected edge as stored in CSR adjacency.
+/// One directed half of an undirected edge: what a row view yields.
 struct Neighbor {
   VertexId to;
   double weight;
 
   friend bool operator==(const Neighbor&, const Neighbor&) = default;
+};
+
+/// \brief Read-only view of one adjacency row: its slices of the graph's
+/// parallel target and weight arrays. Indexing and iteration yield Neighbor
+/// values in row order, so `for (const Neighbor& nb : g.NeighborsOf(u))`
+/// reads both arrays; hot loops stream targets() and weights() directly.
+class NeighborRow {
+ public:
+  class Iterator {
+   public:
+    using value_type = Neighbor;
+    using difference_type = std::ptrdiff_t;
+
+    Iterator() = default;
+    Iterator(const VertexId* to, const double* weight)
+        : to_(to), weight_(weight) {}
+
+    Neighbor operator*() const { return {*to_, *weight_}; }
+    Iterator& operator++() {
+      ++to_;
+      ++weight_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++*this;
+      return old;
+    }
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.to_ == b.to_;
+    }
+
+   private:
+    const VertexId* to_ = nullptr;
+    const double* weight_ = nullptr;
+  };
+
+  NeighborRow(const VertexId* targets, const double* weights, size_t size)
+      : targets_(targets), weights_(weights), size_(size) {}
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Neighbor operator[](size_t i) const { return {targets_[i], weights_[i]}; }
+  Iterator begin() const { return {targets_, weights_}; }
+  Iterator end() const { return {targets_ + size_, weights_ + size_}; }
+
+  /// The row's neighbor ids, ascending.
+  std::span<const VertexId> targets() const { return {targets_, size_}; }
+  /// The row's weights, index-aligned with targets().
+  std::span<const double> weights() const { return {weights_, size_}; }
+
+ private:
+  const VertexId* targets_;
+  const double* weights_;
+  size_t size_;
 };
 
 /// An undirected edge with endpoints u < v.
@@ -80,6 +136,11 @@ struct WeightStats {
 
 /// \brief Immutable undirected weighted graph (CSR).
 ///
+/// The one adjacency layout of the library: an offsets array and two
+/// parallel arrays over the 2m directed halves, u32 targets and f64 weights
+/// (12 bytes per half). Every solver reads rows in place through
+/// NeighborsOf; nothing restages the adjacency.
+///
 /// Construction goes through GraphBuilder (or the factory helpers in
 /// gen/ and graph/difference.h); a constructed Graph always satisfies:
 ///  - adjacency lists sorted by neighbor id, no duplicates, no self-loops;
@@ -93,12 +154,13 @@ class Graph {
   VertexId NumVertices() const { return static_cast<VertexId>(offsets_.size() - 1); }
 
   /// Number of *undirected* edges m (each stored twice internally).
-  size_t NumEdges() const { return neighbors_.size() / 2; }
+  size_t NumEdges() const { return targets_.size() / 2; }
 
-  /// Sorted adjacency list of `u`.
-  std::span<const Neighbor> NeighborsOf(VertexId u) const {
-    return {neighbors_.data() + offsets_[u],
-            neighbors_.data() + offsets_[u + 1]};
+  /// Sorted adjacency row of `u`, read in place.
+  NeighborRow NeighborsOf(VertexId u) const {
+    const size_t begin = offsets_[u];
+    return {targets_.data() + begin, weights_.data() + begin,
+            offsets_[u + 1] - begin};
   }
 
   /// Unweighted degree of `u`.
@@ -166,7 +228,8 @@ class Graph {
   /// for the PipelineCache byte budget.
   size_t ApproxBytes() const {
     return sizeof(Graph) + offsets_.capacity() * sizeof(size_t) +
-           neighbors_.capacity() * sizeof(Neighbor);
+           targets_.capacity() * sizeof(VertexId) +
+           weights_.capacity() * sizeof(double);
   }
 
   /// Human-readable one-line summary ("Graph(n=..., m=..., m+=..., m-=...)").
@@ -182,11 +245,15 @@ class Graph {
                                          const DiscretizeSpec& spec);
 
  private:
-  Graph(std::vector<size_t> offsets, std::vector<Neighbor> neighbors)
-      : offsets_(std::move(offsets)), neighbors_(std::move(neighbors)) {}
+  Graph(std::vector<size_t> offsets, std::vector<VertexId> targets,
+        std::vector<double> weights)
+      : offsets_(std::move(offsets)),
+        targets_(std::move(targets)),
+        weights_(std::move(weights)) {}
 
-  std::vector<size_t> offsets_;     // size n+1
-  std::vector<Neighbor> neighbors_; // size 2m, sorted within each row
+  std::vector<size_t> offsets_;    // size n+1
+  std::vector<VertexId> targets_;  // size 2m, sorted within each row
+  std::vector<double> weights_;    // size 2m, aligned with targets_
 };
 
 }  // namespace dcs

@@ -63,21 +63,21 @@ Result<Graph> GraphBuilder::Build(double zero_eps) {
   }
   std::vector<size_t> offsets(n + 1, 0);
   for (size_t u = 0; u < n; ++u) offsets[u + 1] = offsets[u] + degree[u];
-  std::vector<Neighbor> neighbors(offsets[n]);
+  std::vector<VertexId> targets(offsets[n]);
+  std::vector<double> weights(offsets[n]);
   std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-  // `merged` is sorted by (u, v); filling u-rows in this order keeps each row
-  // sorted. The reverse rows (v -> u) need an explicit sort only if some row
-  // receives both kinds of entries out of order, so sort every row that got a
-  // reverse entry; cheap and simple: sort all rows afterwards.
+  // Every row comes out sorted without a sort. `merged` is sorted by (u, v)
+  // with u < v, so row x first receives every (u, x) with u < x, in
+  // ascending u, and then the run of (x, v) with v > x, in ascending v. No
+  // other entry touches row x, and the first run's ids are all below x
+  // while the second's are all above it.
   for (const Entry& e : merged) {
-    neighbors[cursor[e.u]++] = Neighbor{e.v, e.weight};
-    neighbors[cursor[e.v]++] = Neighbor{e.u, e.weight};
+    targets[cursor[e.u]] = e.v;
+    weights[cursor[e.u]++] = e.weight;
+    targets[cursor[e.v]] = e.u;
+    weights[cursor[e.v]++] = e.weight;
   }
-  for (size_t u = 0; u < n; ++u) {
-    std::sort(neighbors.begin() + offsets[u], neighbors.begin() + offsets[u + 1],
-              [](const Neighbor& a, const Neighbor& b) { return a.to < b.to; });
-  }
-  return Graph(std::move(offsets), std::move(neighbors));
+  return Graph(std::move(offsets), std::move(targets), std::move(weights));
 }
 
 }  // namespace dcs

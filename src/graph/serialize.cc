@@ -25,13 +25,13 @@ class GraphSerializer {
  public:
   static void Append(const Graph& graph, std::string* out) {
     AppendU32(graph.NumVertices(), out);
-    AppendU64(graph.neighbors_.size(), out);
+    AppendU64(graph.targets_.size(), out);
     for (const size_t offset : graph.offsets_) {
       AppendU64(static_cast<uint64_t>(offset), out);
     }
-    for (const Neighbor& nb : graph.neighbors_) {
-      AppendU32(nb.to, out);
-      AppendDoubleBits(nb.weight, out);
+    for (size_t i = 0; i < graph.targets_.size(); ++i) {
+      AppendU32(graph.targets_[i], out);
+      AppendDoubleBits(graph.weights_[i], out);
     }
   }
 
@@ -60,10 +60,11 @@ class GraphSerializer {
       return Status::InvalidArgument("graph payload offsets not a CSR");
     }
 
-    std::vector<Neighbor> neighbors(static_cast<size_t>(halves));
-    for (Neighbor& nb : neighbors) {
-      if (!ReadU32(bytes, cursor, &nb.to) ||
-          !ReadDoubleBits(bytes, cursor, &nb.weight)) {
+    std::vector<VertexId> targets(static_cast<size_t>(halves));
+    std::vector<double> weights(static_cast<size_t>(halves));
+    for (size_t i = 0; i < targets.size(); ++i) {
+      if (!ReadU32(bytes, cursor, &targets[i]) ||
+          !ReadDoubleBits(bytes, cursor, &weights[i])) {
         return Truncated();
       }
     }
@@ -72,47 +73,40 @@ class GraphSerializer {
     // duplicate-free, self-loop-free rows of in-range ids with finite
     // non-zero weights, and perfect half-pair symmetry.
     for (VertexId u = 0; u < n; ++u) {
-      VertexId prev = 0;
-      bool first = true;
       for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-        const Neighbor& nb = neighbors[i];
-        if (nb.to >= n || nb.to == u || (!first && nb.to <= prev)) {
+        const VertexId to = targets[i];
+        if (to >= n || to == u || (i > offsets[u] && to <= targets[i - 1])) {
           return Status::InvalidArgument("graph payload adjacency invalid");
         }
-        if (!std::isfinite(nb.weight) || nb.weight == 0.0) {
+        if (!std::isfinite(weights[i]) || weights[i] == 0.0) {
           return Status::InvalidArgument("graph payload weight invalid");
         }
-        prev = nb.to;
-        first = false;
       }
     }
     // Symmetry in O(m) (this runs on every store load, so no per-half binary
-    // search): build the transpose by counting-sort into each destination
-    // row — rows are sorted, so for a symmetric graph the transpose fill
-    // reproduces `neighbors` exactly, halves and weight bits alike. A
-    // destination row receiving more halves than it holds, or any slot
-    // disagreeing, proves a half without its mirror.
+    // search): fill the transpose by counting-sort into each destination
+    // row, comparing as it goes. Rows are sorted, so for a symmetric graph
+    // slot cursor[v] of the transpose is exactly half (v, u) of the graph,
+    // target and weight bits alike. A destination row receiving more halves
+    // than it holds, or any slot disagreeing, proves a half without its
+    // mirror; every slot is checked because the halves fill all of them.
     {
       std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-      std::vector<Neighbor> transpose(neighbors.size());
       for (VertexId u = 0; u < n; ++u) {
         for (size_t i = offsets[u]; i < offsets[u + 1]; ++i) {
-          const VertexId v = neighbors[i].to;
+          const VertexId v = targets[i];
           if (cursor[v] >= offsets[v + 1]) {
             return Status::InvalidArgument("graph payload asymmetric");
           }
-          transpose[cursor[v]++] = {u, neighbors[i].weight};
-        }
-      }
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        if (transpose[i].to != neighbors[i].to ||
-            std::bit_cast<uint64_t>(transpose[i].weight) !=
-                std::bit_cast<uint64_t>(neighbors[i].weight)) {
-          return Status::InvalidArgument("graph payload asymmetric");
+          const size_t slot = cursor[v]++;
+          if (targets[slot] != u || std::bit_cast<uint64_t>(weights[slot]) !=
+                                        std::bit_cast<uint64_t>(weights[i])) {
+            return Status::InvalidArgument("graph payload asymmetric");
+          }
         }
       }
     }
-    return Graph(std::move(offsets), std::move(neighbors));
+    return Graph(std::move(offsets), std::move(targets), std::move(weights));
   }
 };
 

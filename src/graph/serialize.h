@@ -2,9 +2,9 @@
 //
 // The persistent artifact store (store/artifact_store.h) writes the graphs
 // of a prepared pipeline — the difference graph and GD+ — inside its
-// checksummed pipeline records. A Graph is already trivially flat (an
-// offsets array and a neighbor array), so the encoding is a direct dump of
-// the CSR arrays:
+// checksummed pipeline records. A Graph is already flat (an offsets array
+// and parallel target and weight arrays), so the encoding is a dump of the
+// CSR arrays, each half's target and weight interleaved:
 //
 //   u32 num_vertices
 //   u64 num_neighbor_halves           (2m)

@@ -196,7 +196,7 @@ TEST(AffinityStateTest, ComputeExtremes) {
   state.SetX(4, 0.5);
   // Gradients: ∇_v = 2·dx_v.
   std::vector<VertexId> candidates{3, 4};
-  AffinityState::GradientExtremes ext;
+  GradExtremes ext;
   ASSERT_TRUE(state.ComputeExtremes(candidates, &ext));
   EXPECT_DOUBLE_EQ(ext.max_grad, std::max(2.0 * state.dx(3), 2.0 * state.dx(4)));
   EXPECT_DOUBLE_EQ(ext.min_grad, std::min(2.0 * state.dx(3), 2.0 * state.dx(4)));
@@ -206,7 +206,7 @@ TEST(AffinityStateTest, ComputeExtremesEmptyCandidates) {
   Graph gd = Fig1Gd();
   AffinityState state(gd);
   state.ResetToVertex(0);
-  AffinityState::GradientExtremes ext;
+  GradExtremes ext;
   EXPECT_FALSE(state.ComputeExtremes(std::vector<VertexId>{}, &ext));
 }
 

@@ -162,27 +162,6 @@ TEST(KernelBitIdentityTest, SupportReduceExactMatchesOrderedSum) {
   }
 }
 
-TEST(KernelBitIdentityTest, StagedRowLookupMatchesGraphEdgeWeight) {
-  Rng rng(17);
-  Result<Graph> graph = ErdosRenyiWeighted(120, 0.1, 0.5, 3.0, &rng);
-  ASSERT_TRUE(graph.ok());
-  std::vector<VertexId> targets;
-  std::vector<double> weights;
-  StageAdjacencySoa(*graph, &targets, &weights);
-  size_t offset = 0;
-  for (VertexId u = 0; u < graph->NumVertices(); ++u) {
-    const size_t degree = graph->Degree(u);
-    for (VertexId v = 0; v < graph->NumVertices(); ++v) {
-      EXPECT_TRUE(SameBits(
-          StagedRowLookup(targets.data() + offset, weights.data() + offset,
-                          degree, v),
-          graph->EdgeWeight(u, v)))
-          << u << "," << v;
-    }
-    offset += degree;
-  }
-}
-
 TEST(KernelBitIdentityTest, SeedOrderSortMatchesComparatorSort) {
   SKIP_WITHOUT_AVX2();
   // Duplicate-heavy, signed, zero-laden mu vectors: the radix path must

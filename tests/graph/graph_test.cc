@@ -60,6 +60,53 @@ TEST(GraphTest, AdjacencyIsSorted) {
   auto row = g.NeighborsOf(2);
   ASSERT_EQ(row.size(), 4u);
   for (size_t i = 1; i < row.size(); ++i) EXPECT_LT(row[i - 1].to, row[i].to);
+
+  // GraphBuilder fills rows in merged (u, v) order and never sorts them:
+  // edges added in shuffled order, each in a random orientation, must still
+  // come out as sorted rows holding exactly the added pairs.
+  for (const uint64_t seed : {3u, 29u, 101u}) {
+    Rng rng(seed);
+    const VertexId n = 40;
+    std::vector<double> weight_of(size_t{n} * n, 0.0);
+    std::vector<Edge> edges;
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u + 1; v < n; ++v) {
+        if (!rng.Bernoulli(0.2)) continue;
+        const double w = rng.Uniform(-2.0, 2.0);
+        if (w == 0.0) continue;
+        edges.push_back(Edge{u, v, w});
+        weight_of[size_t{u} * n + v] = weight_of[size_t{v} * n + u] = w;
+      }
+    }
+    for (size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng.NextBounded(i)]);
+    }
+    GraphBuilder builder(n);
+    for (const Edge& e : edges) {
+      if (rng.Bernoulli(0.5)) {
+        builder.AddEdgeUnchecked(e.v, e.u, e.weight);
+      } else {
+        builder.AddEdgeUnchecked(e.u, e.v, e.weight);
+      }
+    }
+    Result<Graph> built = builder.Build(/*zero_eps=*/0.0);
+    ASSERT_TRUE(built.ok());
+    ASSERT_EQ(built->NumEdges(), edges.size());
+    for (VertexId u = 0; u < n; ++u) {
+      const NeighborRow row_u = built->NeighborsOf(u);
+      size_t expected_degree = 0;
+      for (VertexId v = 0; v < n; ++v) {
+        expected_degree += weight_of[size_t{u} * n + v] != 0.0 ? 1 : 0;
+      }
+      ASSERT_EQ(row_u.size(), expected_degree) << "seed " << seed << " row " << u;
+      for (size_t i = 0; i < row_u.size(); ++i) {
+        if (i > 0) {
+          EXPECT_LT(row_u[i - 1].to, row_u[i].to) << "seed " << seed << " row " << u;
+        }
+        EXPECT_EQ(row_u[i].weight, weight_of[size_t{u} * n + row_u[i].to]);
+      }
+    }
+  }
 }
 
 TEST(GraphTest, WeightedDegreeSumsIncidentWeights) {

@@ -114,7 +114,7 @@ inline bool SameGraphBits(const Graph& a, const Graph& b) {
     if (row_a.size() != row_b.size()) return false;
     for (size_t i = 0; i < row_a.size(); ++i) {
       if (row_a[i].to != row_b[i].to ||
-          std::memcmp(&row_a[i].weight, &row_b[i].weight, sizeof(double)) !=
+          std::memcmp(&row_a.weights()[i], &row_b.weights()[i], sizeof(double)) !=
               0) {
         return false;
       }

@@ -4,8 +4,8 @@
 # Builds the tree twice — `-DDCS_SANITIZE=address` and `=thread` — in
 # dedicated build directories (so the instrumented objects never pollute the
 # default ./build) and runs the `unit`, `chaos`, `crash`, `stress`,
-# `examples` and `cabi` ctest labels under each. One command, fail-fast per
-# step:
+# `examples`, `cabi` and `paper` ctest labels under each. One command,
+# fail-fast per step:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
 #   tools/run_sanitizers.sh address    # just one
@@ -18,7 +18,9 @@
 # label drives many store handles through one file's flock/append path, the
 # examples label runs every facade program end to end, and the cabi label
 # drives the service through the C ABI (submit, poll, wait, cancel, updates,
-# drain and resume).
+# drain and resume). The paper label runs the golden-output drivers, which
+# take every solver over the graph rows; benches build by default, so the
+# drivers exist in each sanitizer build.
 #
 # Env knobs: JOBS (parallel build/test width, default nproc),
 # BUILD_ROOT (where build-<sanitizer> dirs go, default the repo root).
@@ -44,7 +46,7 @@ for sanitizer in "${sanitizers[@]}"; do
   esac
 done
 
-labels='unit|chaos|crash|stress|examples|cabi'
+labels='unit|chaos|crash|stress|examples|cabi|paper'
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="$build_root/build-$sanitizer"
   echo "== [$sanitizer] configure -> $build_dir"
