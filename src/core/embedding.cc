@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/kernels.h"
 #include "util/logging.h"
 
 namespace dcs {

@@ -62,9 +62,9 @@ Graph CsrPatcher::Apply(const Graph& base, std::span<const EdgePatch> patches,
   // Merge each touched row with its (sorted) changes into a scratch area.
   std::vector<VertexId> scratch_targets;
   std::vector<double> scratch_weights;
-  const auto emit = [&](VertexId to, double weight) {
-    scratch_targets.push_back(to);
-    scratch_weights.push_back(weight);
+  const auto emit = [&](Neighbor nb) {
+    scratch_targets.push_back(nb.to);
+    scratch_weights.push_back(nb.weight);
   };
   struct TouchedRow {
     VertexId row;
@@ -83,13 +83,12 @@ Graph CsrPatcher::Apply(const Graph& base, std::span<const EdgePatch> patches,
     for (size_t k = ci; k < ce; ++k) {
       const RowChange& change = changes[k];
       while (oi < old_row.size() && old_row[oi].to < change.to) {
-        emit(old_row[oi].to, old_row[oi].weight);
-        ++oi;
+        emit(old_row[oi++]);
       }
       if (oi < old_row.size() && old_row[oi].to == change.to) ++oi;  // rewritten
-      if (change.keep) emit(change.to, change.weight);
+      if (change.keep) emit(Neighbor{change.to, change.weight});
     }
-    for (; oi < old_row.size(); ++oi) emit(old_row[oi].to, old_row[oi].weight);
+    while (oi < old_row.size()) emit(old_row[oi++]);
     touched.push_back(TouchedRow{row, begin, scratch_targets.size()});
     ci = ce;
   }

@@ -33,27 +33,23 @@ Result<Graph> BuildDifferenceGraph(const Graph& g1, const Graph& g2,
   targets.reserve(g1.targets_.size() + g2.targets_.size());
   weights.reserve(targets.capacity());
   for (VertexId u = 0; u < n; ++u) {
-    const NeighborRow row1 = g1.NeighborsOf(u);
-    const NeighborRow row2 = g2.NeighborsOf(u);
-    const auto to1 = row1.targets();
-    const auto to2 = row2.targets();
-    const auto w1 = row1.weights();
-    const auto w2 = row2.weights();
+    const auto row1 = g1.NeighborsOf(u);
+    const auto row2 = g2.NeighborsOf(u);
     size_t i = 0, j = 0;
-    while (i < to1.size() || j < to2.size()) {
+    while (i < row1.size() || j < row2.size()) {
       VertexId v;
       double d;
-      if (j == to2.size() || (i < to1.size() && to1[i] < to2[j])) {
-        v = to1[i];
-        d = -alpha * w1[i];
+      if (j == row2.size() || (i < row1.size() && row1[i].to < row2[j].to)) {
+        v = row1[i].to;
+        d = -alpha * row1[i].weight;
         ++i;
-      } else if (i == to1.size() || to2[j] < to1[i]) {
-        v = to2[j];
-        d = w2[j];
+      } else if (i == row1.size() || row2[j].to < row1[i].to) {
+        v = row2[j].to;
+        d = row2[j].weight;
         ++j;
       } else {
-        v = to1[i];
-        d = w2[j] - alpha * w1[i];
+        v = row1[i].to;
+        d = row2[j].weight - alpha * row1[i].weight;
         ++i;
         ++j;
       }

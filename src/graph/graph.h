@@ -10,7 +10,6 @@
 #ifndef DCS_GRAPH_GRAPH_H_
 #define DCS_GRAPH_GRAPH_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -69,10 +68,6 @@ class NeighborRow {
  public:
   class Iterator {
    public:
-    using value_type = Neighbor;
-    using difference_type = std::ptrdiff_t;
-
-    Iterator() = default;
     Iterator(const VertexId* to, const double* weight)
         : to_(to), weight_(weight) {}
 
@@ -82,25 +77,19 @@ class NeighborRow {
       ++weight_;
       return *this;
     }
-    Iterator operator++(int) {
-      Iterator old = *this;
-      ++*this;
-      return old;
-    }
     friend bool operator==(const Iterator& a, const Iterator& b) {
       return a.to_ == b.to_;
     }
 
    private:
-    const VertexId* to_ = nullptr;
-    const double* weight_ = nullptr;
+    const VertexId* to_;
+    const double* weight_;
   };
 
   NeighborRow(const VertexId* targets, const double* weights, size_t size)
       : targets_(targets), weights_(weights), size_(size) {}
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
   Neighbor operator[](size_t i) const { return {targets_[i], weights_[i]}; }
   Iterator begin() const { return {targets_, weights_}; }
   Iterator end() const { return {targets_ + size_, weights_ + size_}; }
