@@ -105,8 +105,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nupdates applied: %llu, difference rebuilds: %llu, patched flushes: "
-      "%llu (the bulk load rebuilds once; each later tick's batch is spliced "
-      "in O(delta) and the cached pipeline republished)\n",
+      "%llu (every batch, the bulk load included, is spliced into the "
+      "graphs; the difference is built once and each later tick patches the "
+      "cached pipeline and republishes it)\n",
       static_cast<unsigned long long>(monitor->num_updates()),
       static_cast<unsigned long long>(monitor->num_rebuilds()),
       static_cast<unsigned long long>(monitor->num_update_patches()));

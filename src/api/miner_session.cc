@@ -19,46 +19,36 @@ namespace dcs {
 
 namespace {
 
-// The one canonical batch order: ascending PackVertexPair. Every consumer of
-// a pair-keyed map (pending deltas, overlay materialization) folds through
-// this so the determinism contract cannot drift between paths.
-std::vector<std::pair<uint64_t, double>> SortedByPackedPair(
-    const std::unordered_map<uint64_t, double>& by_pair) {
-  std::vector<std::pair<uint64_t, double>> sorted(by_pair.begin(),
-                                                  by_pair.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return sorted;
-}
-
-}  // namespace
-
-// Canonicalizes one side's pending map to ascending PackVertexPair order, so
-// both flush paths fold the batch deterministically (satisfying the
-// determinism contract regardless of hash-map iteration order).
-std::vector<MinerSession::PendingDelta> MinerSession::SortedPending(
-    const std::unordered_map<uint64_t, double>& pending) {
-  std::vector<PendingDelta> out;
+// One side's pending map as CsrPatcher assignments in ascending
+// PackVertexPair order, so the flush folds the batch deterministically
+// regardless of hash-map iteration order. Each pair's new absolute weight
+// is base.EdgeWeight(u,v) + delta — the exact sum a from-scratch build's
+// duplicate merge evaluates (an absent pair reads as 0).
+std::vector<EdgePatch> SortedPending(
+    const Graph& base, const std::unordered_map<uint64_t, double>& pending) {
+  std::vector<EdgePatch> out;
   out.reserve(pending.size());
-  for (const auto& [key, delta] : SortedByPackedPair(pending)) {
+  for (const auto& [key, delta] : pending) {
     const VertexPair pair = UnpackVertexPair(key);
-    out.push_back({pair.u, pair.v, delta});
+    out.push_back(
+        EdgePatch{pair.u, pair.v, base.EdgeWeight(pair.u, pair.v) + delta});
   }
+  std::sort(out.begin(), out.end(), [](const EdgePatch& a, const EdgePatch& b) {
+    return PackVertexPair(a.u, a.v) < PackVertexPair(b.u, b.v);
+  });
   return out;
 }
 
-namespace {
-
 // Establishes the session invariant that every resident edge satisfies
-// |w| > zero_eps. Graphs built elsewhere (default-eps builders, io) may
-// carry smaller weights when the session uses a larger zero_eps; the first
-// rebuild-path flush would silently drop those, so normalize once up front
-// to keep the patch and rebuild paths bit-identical.
-Graph NormalizedForZeroEps(Graph graph, double zero_eps) {
+// |w| > kDefaultZeroEps, the drop rule of every flush. Graphs built with a
+// smaller threshold (Build(0.0), io) may carry smaller weights; a
+// from-scratch build of the same content would drop them, so normalize once
+// up front to keep streamed sessions bit-identical to from-scratch ones.
+Graph NormalizedForZeroEps(Graph graph) {
   bool needs_filter = false;
   for (VertexId u = 0; u < graph.NumVertices() && !needs_filter; ++u) {
     for (const Neighbor& nb : graph.NeighborsOf(u)) {
-      if (std::fabs(nb.weight) <= zero_eps) {
+      if (std::fabs(nb.weight) <= kDefaultZeroEps) {
         needs_filter = true;
         break;
       }
@@ -69,7 +59,7 @@ Graph NormalizedForZeroEps(Graph graph, double zero_eps) {
   for (const Edge& e : graph.UndirectedEdges()) {
     builder.AddEdgeUnchecked(e.u, e.v, e.weight);
   }
-  Result<Graph> filtered = builder.Build(zero_eps);
+  Result<Graph> filtered = builder.Build();
   DCS_CHECK(filtered.ok()) << filtered.status().ToString();
   return std::move(filtered).value();
 }
@@ -80,8 +70,8 @@ MinerSession::MinerSession(VertexId num_vertices, Graph g1, Graph g2,
                            SessionOptions options)
     : num_vertices_(num_vertices),
       options_(options),
-      g1_(NormalizedForZeroEps(std::move(g1), options.zero_eps)),
-      g2_(NormalizedForZeroEps(std::move(g2), options.zero_eps)) {
+      g1_(NormalizedForZeroEps(std::move(g1))),
+      g2_(NormalizedForZeroEps(std::move(g2))) {
   if (options_.pipeline_cache != nullptr) {
     cache_ = options_.pipeline_cache;
     private_cache_ = false;
@@ -108,30 +98,8 @@ uint64_t MinerSession::CurrentFingerprint() const {
       Graph::FingerprintFromAccumulator(num_vertices_, g2_accumulator_));
 }
 
-namespace {
-
-// The numeric session knobs feed DCS_CHECK-free hot paths (the overlay fold,
-// CsrPatcher's drop rule, the crossover compare), where a NaN or negative
-// value would corrupt results silently instead of failing loudly the way
-// GraphBuilder::Build rejects a bad zero_eps. Validate once at creation.
-Status ValidateSessionOptions(const SessionOptions& options) {
-  if (!std::isfinite(options.zero_eps) || options.zero_eps < 0.0) {
-    return Status::InvalidArgument(
-        "SessionOptions::zero_eps must be finite and >= 0");
-  }
-  if (std::isnan(options.patch_rebuild_ratio) ||
-      options.patch_rebuild_ratio < 0.0) {
-    return Status::InvalidArgument(
-        "SessionOptions::patch_rebuild_ratio must be >= 0");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<MinerSession> MinerSession::Create(Graph g1, Graph g2,
                                           SessionOptions options) {
-  DCS_RETURN_NOT_OK(ValidateSessionOptions(options));
   if (g1.NumVertices() != g2.NumVertices()) {
     return Status::InvalidArgument(
         "G1 and G2 must share one vertex set (got " +
@@ -149,7 +117,6 @@ Result<MinerSession> MinerSession::Create(Graph g1, Graph g2,
 
 Result<MinerSession> MinerSession::CreateStreaming(VertexId num_vertices,
                                                    SessionOptions options) {
-  DCS_RETURN_NOT_OK(ValidateSessionOptions(options));
   if (num_vertices == 0) {
     return Status::InvalidArgument("session needs at least one vertex");
   }
@@ -213,164 +180,55 @@ Status MinerSession::ApplyUpdate(UpdateSide side, VertexId u, VertexId v,
   return Status::OK();
 }
 
-Status MinerSession::FlushUpdates() {
-  if (!graphs_dirty_) return Status::OK();
-  const std::vector<PendingDelta> d1 = SortedPending(pending_g1_);
-  const std::vector<PendingDelta> d2 = SortedPending(pending_g2_);
-  const uint64_t stale_fingerprint = graph_fingerprint_;
-
-  // Crossover: a batch of Δ distinct pairs small relative to the resident
-  // edge mass takes the O(Δ) patch path; the rest — including the initial
-  // bulk load, where m = 0 — takes the full rebuild. The paths are
-  // bit-identical (the streaming equivalence tests pin this), so the choice
-  // is purely a latency decision. The CSR edge counts ignore any pending
-  // overlay (a bounded, within-crossover perturbation) — this is a
-  // heuristic threshold, not a correctness input.
-  const size_t delta_pairs = d1.size() + d2.size();
-  const size_t edge_mass = g1_.NumEdges() + g2_.NumEdges();
-  const bool patch =
-      options_.patch_rebuild_ratio > 0.0 &&
-      static_cast<double>(delta_pairs) <=
-          options_.patch_rebuild_ratio * static_cast<double>(edge_mass);
-
-  if (patch) {
-    PatchGraphsAndPipelines(d1, d2, stale_fingerprint);
-    ++num_update_patches_;
-    // Amortized materialization: once the overlay itself outgrows the
-    // crossover, fold it into the CSR arrays in one splice so per-pair
-    // lookups stay O(log deg) with a small constant.
-    if (static_cast<double>(overlay_g1_.size() + overlay_g2_.size()) >
-        options_.patch_rebuild_ratio * static_cast<double>(edge_mass)) {
-      MaterializeBaseGraphs();
-    }
-  } else {
-    MaterializeBaseGraphs();
-    auto rebuild = [&](const Graph& base,
-                       const std::vector<PendingDelta>& deltas)
-        -> Result<Graph> {
-      GraphBuilder builder(num_vertices_);
-      for (const Edge& e : base.UndirectedEdges()) {
-        builder.AddEdgeUnchecked(e.u, e.v, e.weight);
-      }
-      for (const PendingDelta& d : deltas) {
-        builder.AddEdgeUnchecked(d.u, d.v, d.delta);
-      }
-      return builder.Build(options_.zero_eps);
-    };
-    if (!d1.empty()) {
-      DCS_ASSIGN_OR_RETURN(g1_, rebuild(g1_, d1));
-      g1_accumulator_ = g1_.ContentAccumulator();
-    }
-    if (!d2.empty()) {
-      DCS_ASSIGN_OR_RETURN(g2_, rebuild(g2_, d2));
-      g2_accumulator_ = g2_.ContentAccumulator();
-    }
-    ++num_update_rebuilds_;
-  }
+void MinerSession::FlushUpdates() {
+  if (!graphs_dirty_) return;
+  const std::vector<EdgePatch> patches1 = SortedPending(g1_, pending_g1_);
+  const std::vector<EdgePatch> patches2 = SortedPending(g2_, pending_g2_);
   pending_g1_.clear();
   pending_g2_.clear();
-
-  // Copy-on-write invalidation: the refreshed fingerprint redirects this
-  // session to fresh cache keys — pre-populated by the patch path's
-  // republish walk. A private cache holds no other session's entries, so
-  // the stale ones are dropped eagerly (today's memory profile); in a
-  // shared cache they may still serve sessions whose graphs kept the old
-  // content, and age out via LRU otherwise. A net-zero batch leaves the
-  // fingerprint unchanged — the resident entries are still this session's,
-  // so nothing is erased.
-  graph_fingerprint_ = CurrentFingerprint();
-  if (private_cache_ && graph_fingerprint_ != stale_fingerprint) {
-    cache_->EraseFingerprint(stale_fingerprint);
-  }
   graphs_dirty_ = false;
-  return Status::OK();
-}
-
-double MinerSession::OverlaidWeight(
-    const Graph& base, const std::unordered_map<uint64_t, double>& overlay,
-    VertexId u, VertexId v) const {
-  if (!overlay.empty()) {
-    const auto it = overlay.find(PackVertexPair(u, v));
-    if (it != overlay.end()) {
-      // Mirror the builder's drop rule: a (near-)cancelled weight is absent.
-      return std::fabs(it->second) > options_.zero_eps ? it->second : 0.0;
-    }
+  // A side without deltas keeps its graph: Apply would copy it unchanged.
+  if (!patches1.empty()) {
+    g1_ = CsrPatcher::Apply(g1_, patches1, kDefaultZeroEps, &g1_accumulator_);
   }
-  return base.EdgeWeight(u, v);
-}
+  if (!patches2.empty()) {
+    g2_ = CsrPatcher::Apply(g2_, patches2, kDefaultZeroEps, &g2_accumulator_);
+  }
+  ++num_update_patches_;
 
-void MinerSession::MaterializeBaseGraphs() {
-  auto splice = [&](Graph* graph, std::unordered_map<uint64_t, double>* overlay) {
-    if (overlay->empty()) return;
-    std::vector<EdgePatch> patches;
-    patches.reserve(overlay->size());
-    for (const auto& [key, weight] : SortedByPackedPair(*overlay)) {
-      const VertexPair pair = UnpackVertexPair(key);
-      patches.push_back(EdgePatch{pair.u, pair.v, weight});
-    }
-    // Accumulators were maintained when the overlay entries were recorded,
-    // so the splice must not re-apply them.
-    *graph = CsrPatcher::Apply(*graph, patches, options_.zero_eps,
-                               /*accumulator=*/nullptr);
-    overlay->clear();
-  };
-  splice(&g1_, &overlay_g1_);
-  splice(&g2_, &overlay_g2_);
-}
-
-void MinerSession::PatchGraphsAndPipelines(const std::vector<PendingDelta>& d1,
-                                           const std::vector<PendingDelta>& d2,
-                                           uint64_t stale_fingerprint) {
-  // Fold each side's deltas into absolute overlay assignments: old + delta
-  // is the exact expression the rebuild's duplicate merge evaluates, so the
-  // materialized weight is bit-identical to a rebuild's. The base CSR
-  // arrays are untouched — their unchanged spans are shared as-is until
-  // MaterializeBaseGraphs has a reason to splice.
-  auto fold = [&](const Graph& base, const std::vector<PendingDelta>& deltas,
-                  std::unordered_map<uint64_t, double>* overlay,
-                  uint64_t* accumulator) {
-    for (const PendingDelta& d : deltas) {
-      const double old_weight = OverlaidWeight(base, *overlay, d.u, d.v);
-      const double new_weight = old_weight + d.delta;
-      if (old_weight != 0.0) {
-        *accumulator -= Graph::UndirectedEdgeHash(d.u, d.v, old_weight);
-      }
-      if (std::fabs(new_weight) > options_.zero_eps) {
-        *accumulator += Graph::UndirectedEdgeHash(d.u, d.v, new_weight);
-      }
-      (*overlay)[PackVertexPair(d.u, d.v)] = new_weight;
-    }
-  };
-  fold(g1_, d1, &overlay_g1_, &g1_accumulator_);
-  fold(g2_, d2, &overlay_g2_, &g2_accumulator_);
+  // A net-zero batch (every pair's deltas cancelled) leaves the content —
+  // and therefore the fingerprint and every cached entry — as it was.
+  const uint64_t stale_fingerprint = graph_fingerprint_;
+  graph_fingerprint_ = CurrentFingerprint();
+  if (graph_fingerprint_ == stale_fingerprint) return;
 
   // Union of pairs touched on either side, sorted — the only pairs whose
   // difference-graph image can have changed.
   std::vector<std::pair<VertexId, VertexId>> changed;
-  changed.reserve(d1.size() + d2.size());
-  for (const PendingDelta& d : d1) changed.emplace_back(d.u, d.v);
-  for (const PendingDelta& d : d2) changed.emplace_back(d.u, d.v);
+  changed.reserve(patches1.size() + patches2.size());
+  for (const EdgePatch& p : patches1) changed.emplace_back(p.u, p.v);
+  for (const EdgePatch& p : patches2) changed.emplace_back(p.u, p.v);
   std::sort(changed.begin(), changed.end());
   changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
 
   // Republish this fingerprint's cached pipelines, delta-patched, under the
   // refreshed fingerprint: post-update queries hit instead of cold-missing.
   // Copy-on-write — other sessions sharing the cache (and pinned snapshots)
-  // keep the old, untouched entries. A net-zero batch (every pair's deltas
-  // cancelled) leaves the fingerprint — and therefore every cached entry —
-  // valid as-is: nothing to republish. The patched entries are not written
-  // to the store: updates are not journaled, so no restart asks for this
-  // fingerprint, and an entry evicted before its next query cold-builds
-  // and writes back once through PreparePipeline.
-  const uint64_t fresh_fingerprint = CurrentFingerprint();
-  if (fresh_fingerprint == stale_fingerprint) return;
+  // keep the old, untouched entries. The patched entries are not written to
+  // the store: updates are not journaled, so no restart asks for this
+  // fingerprint, and an entry evicted before its next query cold-builds and
+  // writes back once through PreparePipeline.
   for (const auto& [key, snapshot] : cache_->SnapshotsFor(stale_fingerprint)) {
     PipelineCacheKey fresh_key = key;
-    fresh_key.graph_fingerprint = fresh_fingerprint;
+    fresh_key.graph_fingerprint = graph_fingerprint_;
     cache_->Publish(fresh_key, std::make_shared<const PreparedPipeline>(
                                    PatchPipeline(*snapshot, key, changed)));
     ++num_republished_;
   }
+  // A private cache holds no other session's entries, so the stale ones are
+  // dropped eagerly; in a shared cache they may still serve sessions whose
+  // graphs kept the old content, and age out via LRU otherwise.
+  if (private_cache_) cache_->EraseFingerprint(stale_fingerprint);
 }
 
 PreparedPipeline MinerSession::PatchPipeline(
@@ -378,19 +236,17 @@ PreparedPipeline MinerSession::PatchPipeline(
     std::span<const std::pair<VertexId, VertexId>> changed_pairs) const {
   const Graph& first = key.flip ? g2_ : g1_;
   const Graph& second = key.flip ? g1_ : g2_;
-  const auto& first_overlay = key.flip ? overlay_g2_ : overlay_g1_;
-  const auto& second_overlay = key.flip ? overlay_g1_ : overlay_g2_;
 
   // Re-derive the pipeline image of every changed pair from the patched
-  // content (CSR ⊕ overlay), mirroring BuildDifferenceGraph →
+  // graphs, mirroring BuildDifferenceGraph →
   // DiscretizeWeights → WeightsClampedAbove exactly (stored weights are
   // never zero, so weight == 0 means the pair is absent on that side). A
   // zero assignment drops the pair.
   std::vector<EdgePatch> difference_patches;
   difference_patches.reserve(changed_pairs.size());
   for (const auto& [u, v] : changed_pairs) {
-    const double w1 = OverlaidWeight(first, first_overlay, u, v);
-    const double w2 = OverlaidWeight(second, second_overlay, u, v);
+    const double w1 = first.EdgeWeight(u, v);
+    const double w2 = second.EdgeWeight(u, v);
     double d;
     if (w1 != 0.0 && w2 != 0.0) {
       d = w2 - key.alpha * w1;
@@ -460,7 +316,7 @@ PipelineCacheKey MinerSession::PipelineKeyFor(
 
 Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
     const MiningRequest& request, bool need_ga, bool* reused) {
-  DCS_RETURN_NOT_OK(FlushUpdates());
+  FlushUpdates();
   const PipelineCacheKey key = PipelineKeyFor(request);
 
   // Runs on this thread inside GetOrPrepare (without the cache lock), at
@@ -497,9 +353,6 @@ Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
       }
     }
     if (!have_difference) {
-      // A cold build consumes the base graphs as real CSR arrays; fold any
-      // deferred overlay in first (no-op when none is pending).
-      MaterializeBaseGraphs();
       const Graph& first = request.flip ? g2_ : g1_;
       const Graph& second = request.flip ? g1_ : g2_;
       // The difference, discretize and clamp steps are the same graph/
@@ -619,8 +472,7 @@ HealthState MinerSession::RefreshHealth() {
   }
   HealthState next = health_;
   if (health_ != HealthState::kStoreOffline && store_ != nullptr) {
-    if (options_.store_failure_threshold != 0 &&
-        store_write_errors_ >= options_.store_failure_threshold) {
+    if (store_write_errors_ >= kStoreFailureThreshold) {
       next = HealthState::kStoreOffline;
     } else if (store_write_errors_ > 0) {
       next = HealthState::kDegraded;

@@ -31,13 +31,12 @@
 // pool and one PipelineCache; a shared PipelineCache makes N sessions over
 // the same dataset pay the pipeline-preparation prefix once.
 //
-// Streaming path: a small ApplyUpdate batch is folded in O(Δ) — base
-// graphs through a CSR overlay (graph/csr_patcher.h), the fingerprint
-// through incremental accumulators, and every cached pipeline by a delta
-// patch republished under the new fingerprint — with a full-rebuild
-// fallback past the SessionOptions::patch_rebuild_ratio crossover. Both
-// paths are bit-identical; see ARCHITECTURE.md "Streaming update data
-// flow".
+// Streaming path: ApplyUpdate batches are folded at the next query in
+// O(Δ·deg + m) — each side's base graph by one CsrPatcher splice
+// (graph/csr_patcher.h), the fingerprint through incremental accumulators,
+// and every cached pipeline by a delta patch republished under the new
+// fingerprint. Bit-identical to a from-scratch session over the same
+// graphs; see ARCHITECTURE.md "Streaming update data flow".
 
 #ifndef DCS_API_MINER_SESSION_H_
 #define DCS_API_MINER_SESSION_H_
@@ -60,6 +59,13 @@ namespace dcs {
 
 class ArtifactStore;  // store/artifact_store.h (re-exported by
                       // api/artifact_store.h)
+
+/// Graceful-degradation ladder (see HealthState in api/mining.h): once the
+/// attached store has accumulated this many failed write-backs, the session
+/// detaches it and continues memory-only — mining results are unchanged bit
+/// for bit, only persistence stops. Any failure count below it reads as
+/// kDegraded.
+inline constexpr uint64_t kStoreFailureThreshold = 4;
 
 /// Session-level tuning.
 struct SessionOptions {
@@ -84,13 +90,6 @@ struct SessionOptions {
   /// stale records are silently rebuilt over; responses are bit-identical
   /// either way.
   std::shared_ptr<ArtifactStore> artifact_store;
-  /// Graceful-degradation ladder (see HealthState in api/mining.h): once
-  /// the attached store has accumulated this many failed write-backs, the
-  /// session detaches it and continues memory-only — mining results are
-  /// unchanged bit for bit, only persistence stops. Any failure count below
-  /// the threshold reads as kDegraded. 0 disables the ladder (the session
-  /// never detaches, staying at most kDegraded).
-  uint32_t store_failure_threshold = 4;
   /// Total thread budget of the session's worker pool; 0 =
   /// std::thread::hardware_concurrency(). Mine grants the whole budget to
   /// requests whose ga_solver.parallelism is 0 (auto). The pool is spawned
@@ -106,21 +105,6 @@ struct SessionOptions {
   /// bit-identical whichever pool executes them (see util/thread_pool.h —
   /// RunTasks is safe to call concurrently from many sessions).
   std::shared_ptr<ThreadPool> worker_pool;
-  /// Magnitude below which an accumulated weight counts as cancelled when
-  /// streaming updates are folded into the graphs.
-  double zero_eps = 1e-12;
-  /// Streaming update crossover: a flush whose batch of Δ distinct pending
-  /// pairs satisfies Δ <= patch_rebuild_ratio · (m1 + m2) is folded by the
-  /// O(Δ) patch path — the CSR graphs are spliced in place
-  /// (graph/csr_patcher.h), the graph fingerprint is updated incrementally,
-  /// and every cached pipeline of the old fingerprint is delta-patched and
-  /// republished under the new one, so the next queries hit instead of
-  /// rebuilding. Larger batches (and the initial bulk load, where m = 0)
-  /// take the classic full rebuild; both paths are bit-identical. 0 disables
-  /// patching. The default sits safely under the measured crossover — the
-  /// patch path stays ahead of a rebuild well past Δ/m = 0.25; both sides
-  /// of the crossover are pinned equal by StreamingUpdateEquivalenceTest.
-  double patch_rebuild_ratio = 0.25;
 };
 
 /// \brief A mining session over a pair of graphs on a fixed vertex universe.
@@ -146,16 +130,13 @@ class MinerSession {
 
   /// \brief Adds `delta` to the weight of undirected edge {u,v} on `side`.
   ///
-  /// O(1); the graphs are refreshed lazily at the next query. A small batch
-  /// (see SessionOptions::patch_rebuild_ratio) is folded by the O(Δ) patch
-  /// path: the CSR content is spliced, and this session's cached pipelines
-  /// are delta-patched and *republished* under the refreshed fingerprint —
-  /// the next query hits the cache instead of rebuilding. Larger batches
-  /// fall back to a full rebuild whose next queries prepare fresh entries.
-  /// Either way the move is copy-on-write: other sessions sharing the cache
-  /// — and snapshots pinned by in-flight solves — keep the old, immutable
-  /// entries. Fails on self-loops, out-of-range endpoints, or non-finite
-  /// deltas.
+  /// O(1); the graphs are refreshed lazily at the next query, which splices
+  /// the batch into the CSR content and delta-patches this session's cached
+  /// pipelines, *republishing* them under the refreshed fingerprint — the
+  /// next query hits the cache instead of rebuilding. The move is
+  /// copy-on-write: other sessions sharing the cache — and snapshots pinned
+  /// by in-flight solves — keep the old, immutable entries. Fails on
+  /// self-loops, out-of-range endpoints, or non-finite deltas.
   Status ApplyUpdate(UpdateSide side, VertexId u, VertexId v, double delta);
 
   /// The validation ApplyUpdate performs, exposed so queueing layers
@@ -189,14 +170,11 @@ class MinerSession {
   uint64_t num_updates() const { return num_updates_; }
   /// Difference graphs *this session* materialized so far (flat across
   /// cached queries — including queries served by entries another session
-  /// sharing the cache prepared, and across patched flushes, which splice
+  /// sharing the cache prepared, and across update flushes, which splice
   /// cached differences instead of materializing fresh ones).
   uint64_t num_rebuilds() const { return num_rebuilds_; }
-  /// Pending-update flushes folded by the O(Δ) patch path.
+  /// Pending-update batches spliced into the graphs so far.
   uint64_t num_update_patches() const { return num_update_patches_; }
-  /// Pending-update flushes that took the full-rebuild fallback (batch past
-  /// the Δ/m crossover, the initial bulk load, or patching disabled).
-  uint64_t num_update_rebuilds() const { return num_update_rebuilds_; }
   /// Cached pipeline entries delta-patched and republished under this
   /// session's new fingerprint across all patched flushes.
   uint64_t num_republished_entries() const { return num_republished_; }
@@ -243,10 +221,10 @@ class MinerSession {
 
   /// \brief Re-evaluates the degradation ladder against the attached
   /// store's failure counters and returns the (possibly advanced) state —
-  /// detaching the store when the failure count crossed
-  /// SessionOptions::store_failure_threshold. Every Mine runs this
-  /// on entry; callers that just flushed a store can invoke it directly to
-  /// observe the transition without mining.
+  /// detaching the store when the failure count reached
+  /// kStoreFailureThreshold. Every Mine runs this on entry; callers that
+  /// just flushed a store can invoke it directly to observe the transition
+  /// without mining.
   HealthState RefreshHealth();
 
   /// Current position on the degradation ladder (as of the last
@@ -267,51 +245,16 @@ class MinerSession {
   void ClearWarmStart() { warm_support_.clear(); }
 
  private:
-  // One side's pending batch entry, canonicalized to u < v.
-  struct PendingDelta {
-    VertexId u;
-    VertexId v;
-    double delta;
-  };
-
   MinerSession(VertexId num_vertices, Graph g1, Graph g2,
                SessionOptions options);
 
-  // One side's pending map in ascending PackVertexPair order — the batch
-  // order both flush paths fold deterministically.
-  static std::vector<PendingDelta> SortedPending(
-      const std::unordered_map<uint64_t, double>& pending);
-
-  // Folds pending streaming deltas into g1_/g2_ when dirty; refreshes the
-  // graph fingerprint (copy-on-write invalidation) and, on a private cache,
-  // drops the now-unreachable entries. Small batches (see
-  // SessionOptions::patch_rebuild_ratio) take the O(Δ) patch path; the rest
-  // take the full rebuild. Both fold the batch in sorted PackVertexPair
-  // order, so the result is independent of hash-map iteration order.
-  Status FlushUpdates();
-
-  // The O(Δ) path: folds both sides' batches into the base-graph overlays
-  // (maintaining the fingerprint accumulators), then delta-patches every
-  // cached pipeline of `stale_fingerprint` and republishes it under the
-  // refreshed fingerprint. The base CSR arrays are *not* copied here — the
-  // untouched spans are shared by leaving them in place and recording the
-  // changed pairs in the overlay; MaterializeBaseGraphs splices lazily.
-  void PatchGraphsAndPipelines(const std::vector<PendingDelta>& d1,
-                               const std::vector<PendingDelta>& d2,
-                               uint64_t stale_fingerprint);
-
-  // The weight of {u,v} in one side's current content: the overlay entry
-  // when present (values within zero_eps of 0 read as absent, mirroring the
-  // builder's drop rule), the CSR weight otherwise.
-  double OverlaidWeight(const Graph& base,
-                        const std::unordered_map<uint64_t, double>& overlay,
-                        VertexId u, VertexId v) const;
-
-  // Splices any pending overlays into the CSR graphs (bit-identical to a
-  // rebuild of the same content) and clears them. Called before anything
-  // that needs a real CSR of the current content: a cold pipeline build,
-  // the full-rebuild flush path, or overlay growth past the crossover.
-  void MaterializeBaseGraphs();
+  // Folds pending streaming deltas into g1_/g2_ when dirty: each side's
+  // batch, in ascending PackVertexPair order, becomes one CsrPatcher splice
+  // that also maintains the fingerprint accumulators. Then every cached
+  // pipeline of the old fingerprint is delta-patched and republished under
+  // the new one (copy-on-write); on a private cache the now-unreachable
+  // entries are dropped.
+  void FlushUpdates();
 
   // Delta-derives the patched counterpart of one cached pipeline: re-derives
   // D(u,v) (and its discretize/clamp image) from the already-patched
@@ -375,12 +318,6 @@ class MinerSession {
   SessionOptions options_;
   Graph g1_{0};
   Graph g2_{0};
-  // Patched-but-not-yet-spliced base-graph content: absolute weights per
-  // packed pair, layered over g1_/g2_ (the session's true graphs are
-  // CSR ⊕ overlay). Keeping the batch here instead of copying the CSR
-  // arrays is what makes a small flush O(Δ); see MaterializeBaseGraphs.
-  std::unordered_map<uint64_t, double> overlay_g1_;
-  std::unordered_map<uint64_t, double> overlay_g2_;
   // Pending streaming deltas keyed by packed (min,max) vertex pair.
   std::unordered_map<uint64_t, double> pending_g1_;
   std::unordered_map<uint64_t, double> pending_g2_;
@@ -405,7 +342,7 @@ class MinerSession {
   // PipelineGraphFingerprint of (g1_, g2_) after the last flush — the
   // content half of this session's cache keys — plus the per-graph content
   // accumulators it is derived from (Graph::ContentAccumulator), maintained
-  // incrementally by the patch path.
+  // incrementally by FlushUpdates.
   uint64_t graph_fingerprint_ = 0;
   uint64_t g1_accumulator_ = 0;
   uint64_t g2_accumulator_ = 0;
@@ -415,7 +352,6 @@ class MinerSession {
   uint64_t num_updates_ = 0;
   uint64_t num_rebuilds_ = 0;
   uint64_t num_update_patches_ = 0;
-  uint64_t num_update_rebuilds_ = 0;
   uint64_t num_republished_ = 0;
   // Support of the most recent DCSGA answer, offered to warm_start requests.
   std::vector<VertexId> warm_support_;

@@ -60,7 +60,7 @@ Result<Measure> ParseMeasure(std::string_view name);
 /// kHealthy: no store failures observed (or no store attached — persistence
 /// was never promised). kDegraded: the store reported write-back failures
 /// but stays attached; loads and write-backs keep being attempted.
-/// kStoreOffline: failures reached SessionOptions::store_failure_threshold
+/// kStoreOffline: failures reached kStoreFailureThreshold (api/miner_session.h)
 /// and the session *detached* the store — mining continues memory-only and
 /// bit-identically (results never depended on persistence), only warm-boot
 /// durability is lost. Transitions are strictly downward and counted by

@@ -41,19 +41,23 @@ Result<Graph> GraphBuilder::Build(double zero_eps) {
             [](const Entry& a, const Entry& b) {
               return a.u != b.u ? a.u < b.u : a.v < b.v;
             });
-  // Merge duplicates in place.
-  std::vector<Entry> merged;
-  merged.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    if (!merged.empty() && merged.back().u == e.u && merged.back().v == e.v) {
-      merged.back().weight += e.weight;
-    } else {
-      merged.push_back(e);
+  // Merge duplicates in place: `kept` is the length of the compacted prefix.
+  // A run whose sum is (near) zero is dropped by not advancing `kept`, so
+  // the builder never holds a second copy of its entries.
+  size_t kept = 0;
+  for (size_t i = 0; i < entries_.size();) {
+    Entry run = entries_[i];
+    for (++i; i < entries_.size() && entries_[i].u == run.u &&
+              entries_[i].v == run.v;
+         ++i) {
+      run.weight += entries_[i].weight;
     }
+    if (std::fabs(run.weight) > zero_eps) entries_[kept++] = run;
   }
-  entries_.clear();
-  std::erase_if(merged,
-                [zero_eps](const Entry& e) { return std::fabs(e.weight) <= zero_eps; });
+  // Take the storage out so the builder is left empty and holds no capacity.
+  std::vector<Entry> merged = std::move(entries_);
+  entries_ = {};
+  merged.resize(kept);
 
   const size_t n = num_vertices_;
   std::vector<size_t> degree(n, 0);

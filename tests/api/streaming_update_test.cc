@@ -2,14 +2,16 @@
 // (inserts, deletes-to-zero, sign flips, both sides) driven through
 // MinerSession::ApplyUpdate must leave the session *bit-identical* to a
 // from-scratch session over the same final graphs — for every pipeline
-// shape (alpha, flip, discretize, clamp) and on both sides of the
-// patch/rebuild crossover. This is the contract that makes the O(Δ) patch
-// path a pure latency optimization.
+// shape (alpha, flip, discretize, clamp) and for batches of every size, up
+// to one that touches more pairs than the graphs hold. This is the contract
+// that makes the splice-and-republish flush a pure latency optimization.
 
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstring>
 #include <map>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -81,17 +83,78 @@ void ExpectGraphsBitIdentical(const Graph& actual, const Graph& expected,
   }
 }
 
+template <typename T>
+void ExpectVectorsBitIdentical(const std::vector<T>& actual,
+                               const std::vector<T>& expected,
+                               const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        actual.size() * sizeof(T)),
+            0)
+      << label;
+}
+
+// Every resident pipeline of the two caches under `fingerprint`, compared
+// field by field. The artifacts themselves must match, not only the answers
+// mined from them: a stale smart-init bound can leave every answer intact.
+void ExpectCachedPipelinesBitIdentical(const PipelineCache& streamed,
+                                       const PipelineCache& control,
+                                       uint64_t fingerprint,
+                                       const std::string& label) {
+  const auto actual = streamed.SnapshotsFor(fingerprint);
+  const auto expected = control.SnapshotsFor(fingerprint);
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_TRUE(actual[i].first == expected[i].first) << label;
+    const PreparedPipeline& a = *actual[i].second;
+    const PreparedPipeline& b = *expected[i].second;
+    const std::string entry = label + " cached entry #" + std::to_string(i);
+    ExpectGraphsBitIdentical(a.difference, b.difference, entry);
+    ASSERT_EQ(a.has_ga_artifacts, b.has_ga_artifacts) << entry;
+    EXPECT_EQ(a.validated_nonnegative, b.validated_nonnegative) << entry;
+    if (!a.has_ga_artifacts) continue;
+    ExpectGraphsBitIdentical(a.positive_part, b.positive_part, entry);
+    ExpectVectorsBitIdentical(a.smart_bounds.w, b.smart_bounds.w, entry + " w");
+    ExpectVectorsBitIdentical(a.smart_bounds.tau, b.smart_bounds.tau,
+                              entry + " tau");
+    ExpectVectorsBitIdentical(a.smart_bounds.mu, b.smart_bounds.mu,
+                              entry + " mu");
+    ExpectVectorsBitIdentical(a.smart_bounds.max_incident,
+                              b.smart_bounds.max_incident,
+                              entry + " max_incident");
+    ExpectVectorsBitIdentical(a.smart_bounds.order, b.smart_bounds.order,
+                              entry + " order");
+  }
+}
+
+// Pairs {u,v} whose GD+ presence (difference weight > 0) differs between
+// two difference graphs over the same vertices.
+size_t StructuralPositiveChanges(const Graph& before, const Graph& after) {
+  size_t changes = 0;
+  for (VertexId u = 0; u < after.NumVertices(); ++u) {
+    for (VertexId v = u + 1; v < after.NumVertices(); ++v) {
+      if ((before.EdgeWeight(u, v) > 0.0) != (after.EdgeWeight(u, v) > 0.0)) {
+        ++changes;
+      }
+    }
+  }
+  return changes;
+}
+
 // One randomized stream: apply `rounds` update batches to a streaming
-// session configured with `ratio`, checking every round that responses,
-// difference snapshots and the graph fingerprint are bit-identical to a
-// fresh from-scratch session.
-void RunEquivalenceStream(uint64_t seed, double ratio, int rounds,
-                          int batch_size, VertexId n, size_t initial_edges,
+// session, checking every round that responses, difference snapshots,
+// cached pipelines and the graph fingerprint are bit-identical to a fresh
+// from-scratch session.
+// Round `large_round` (none when out of range) sends a batch touching more
+// distinct pairs than both graphs hold, while every request's GA pipeline
+// is cached from the previous round — it must flip more than 32 GD+ edges,
+// which sends the smart-init bounds maintenance through its full k-core
+// recompute.
+void RunEquivalenceStream(uint64_t seed, int rounds, int batch_size,
+                          VertexId n, size_t initial_edges, int large_round,
                           bool check_fingerprint_via_shared_cache) {
   Rng rng(seed);
-  SessionOptions options;
-  options.patch_rebuild_ratio = ratio;
-  Result<MinerSession> session = MinerSession::CreateStreaming(n, options);
+  Result<MinerSession> session = MinerSession::CreateStreaming(n);
   ASSERT_TRUE(session.ok());
   EdgeLedger g1, g2;
 
@@ -101,7 +164,7 @@ void RunEquivalenceStream(uint64_t seed, double ratio, int rounds,
     if (*v >= *u) ++*v;
   };
 
-  // Initial bulk load (one big batch; always past the crossover).
+  // Initial bulk load (one big batch into empty graphs).
   for (size_t i = 0; i < initial_edges; ++i) {
     VertexId u, v;
     random_pair(&u, &v);
@@ -116,12 +179,20 @@ void RunEquivalenceStream(uint64_t seed, double ratio, int rounds,
   }
 
   const std::vector<MiningRequest> requests = EquivalenceRequests();
+  Graph previous_gd(n);
   for (int round = 0; round <= rounds; ++round) {
     if (round > 0) {
       // A small batch: inserts, deletes-to-zero, and sign flips, both sides.
-      for (int i = 0; i < batch_size; ++i) {
+      // The large round keeps drawing until it has touched more distinct
+      // pairs than the graphs hold.
+      const size_t held = round == large_round
+                              ? g1.Build(n).NumEdges() + g2.Build(n).NumEdges()
+                              : 0;
+      std::set<uint64_t> touched;
+      for (int i = 0; i < batch_size || touched.size() <= held; ++i) {
         VertexId u, v;
         random_pair(&u, &v);
+        touched.insert(PackVertexPair(u, v));
         const bool side1 = rng.Bernoulli(0.4);
         EdgeLedger& ledger = side1 ? g1 : g2;
         const uint64_t key = PackVertexPair(u, v);
@@ -156,6 +227,13 @@ void RunEquivalenceStream(uint64_t seed, double ratio, int rounds,
       Result<Graph> control_gd = control->DifferenceSnapshot(requests[r]);
       ASSERT_TRUE(streamed_gd.ok() && control_gd.ok()) << label;
       ExpectGraphsBitIdentical(*streamed_gd, *control_gd, label);
+      if (r == 0) {
+        if (round == large_round) {
+          EXPECT_GT(StructuralPositiveChanges(previous_gd, *control_gd), 32u)
+              << label;
+        }
+        previous_gd = *control_gd;
+      }
 
       Result<MiningResponse> streamed = session->Mine(requests[r]);
       Result<MiningResponse> expected = control->Mine(requests[r]);
@@ -163,6 +241,10 @@ void RunEquivalenceStream(uint64_t seed, double ratio, int rounds,
       EXPECT_EQ(SerializeSubgraphs(*streamed), SerializeSubgraphs(*expected))
           << label;
     }
+    ExpectCachedPipelinesBitIdentical(
+        *session->pipeline_cache(), *control->pipeline_cache(),
+        PipelineGraphFingerprint(fresh_g1, fresh_g2),
+        "seed " + std::to_string(seed) + " round " + std::to_string(round));
   }
 
   if (check_fingerprint_via_shared_cache) {
@@ -187,29 +269,24 @@ void RunEquivalenceStream(uint64_t seed, double ratio, int rounds,
 }
 
 TEST(StreamingUpdateEquivalenceTest, PatchedPathMatchesFromScratchSessions) {
-  // Default crossover: the small per-round batches take the patch path
-  // (PatchPathIsActuallyTaken pins that the counters move).
-  RunEquivalenceStream(/*seed=*/101, /*ratio=*/0.25, /*rounds=*/8,
-                       /*batch_size=*/3, /*n=*/48, /*initial_edges=*/240,
+  RunEquivalenceStream(/*seed=*/101, /*rounds=*/8, /*batch_size=*/3,
+                       /*n=*/48, /*initial_edges=*/240, /*large_round=*/-1,
                        /*check_fingerprint_via_shared_cache=*/true);
 }
 
-TEST(StreamingUpdateEquivalenceTest, AlwaysPatchAndAlwaysRebuildAgree) {
-  // Forcing each side of the crossover over the same seed keeps the two
-  // implementations honest against each other (and against the control).
-  RunEquivalenceStream(/*seed=*/202, /*ratio=*/1e9, /*rounds=*/6,
-                       /*batch_size=*/4, /*n=*/40, /*initial_edges=*/160,
-                       /*check_fingerprint_via_shared_cache=*/true);
-  RunEquivalenceStream(/*seed=*/202, /*ratio=*/0.0, /*rounds=*/6,
-                       /*batch_size=*/4, /*n=*/40, /*initial_edges=*/160,
+TEST(StreamingUpdateEquivalenceTest, LargeBatchOnWarmCacheMatchesFromScratch) {
+  // Round 3's batch outnumbers the resident edges and is still patched into
+  // every cached pipeline; the rounds after it go back to small batches.
+  RunEquivalenceStream(/*seed=*/202, /*rounds=*/6, /*batch_size=*/4,
+                       /*n=*/40, /*initial_edges=*/160, /*large_round=*/3,
                        /*check_fingerprint_via_shared_cache=*/true);
 }
 
 TEST(StreamingUpdateEquivalenceTest, PatchPathIsActuallyTaken) {
-  SessionOptions options;  // default crossover
-  Result<MinerSession> session = MinerSession::CreateStreaming(30, options);
+  Result<MinerSession> session = MinerSession::CreateStreaming(30);
   ASSERT_TRUE(session.ok());
-  // Bulk load a ring (rebuild), then a single-edge update (patch).
+  // Bulk load a ring into an empty cache, then a single-edge update that
+  // must republish the cached pipeline.
   for (VertexId u = 0; u < 30; ++u) {
     ASSERT_TRUE(session
                     ->ApplyUpdate(UpdateSide::kG2, u, (u + 1) % 30,
@@ -219,14 +296,13 @@ TEST(StreamingUpdateEquivalenceTest, PatchPathIsActuallyTaken) {
   MiningRequest request;
   request.measure = Measure::kBoth;
   ASSERT_TRUE(session->Mine(request).ok());
-  EXPECT_EQ(session->num_update_rebuilds(), 1u);
-  EXPECT_EQ(session->num_update_patches(), 0u);
+  EXPECT_EQ(session->num_update_patches(), 1u);
+  EXPECT_EQ(session->num_republished_entries(), 0u);
 
   ASSERT_TRUE(session->ApplyUpdate(UpdateSide::kG2, 0, 5, 4.0).ok());
   Result<MiningResponse> patched = session->Mine(request);
   ASSERT_TRUE(patched.ok());
-  EXPECT_EQ(session->num_update_patches(), 1u);
-  EXPECT_EQ(session->num_update_rebuilds(), 1u);
+  EXPECT_EQ(session->num_update_patches(), 2u);
   EXPECT_GE(session->num_republished_entries(), 1u);
   EXPECT_TRUE(patched->telemetry.reused_cached_difference);
 }
@@ -258,40 +334,39 @@ TEST(StreamingUpdateEquivalenceTest, NetZeroBatchKeepsCachedPipelines) {
 }
 
 TEST(StreamingUpdateEquivalenceTest, SubEpsBaseEdgesAgreeAcrossCrossover) {
-  // A session-level zero_eps above some input-edge magnitudes: the session
-  // normalizes its graphs up front, so the patch and rebuild paths see the
-  // same content and stay bit-identical (the rebuild path re-filters every
-  // base edge; the patch path must not keep what a rebuild would drop).
-  GraphBuilder b1(6), b2(6);
-  b2.AddEdgeUnchecked(0, 1, 3.0);
-  b2.AddEdgeUnchecked(1, 2, 0.1);  // below the session's zero_eps
-  b2.AddEdgeUnchecked(2, 3, 2.0);
-  b2.AddEdgeUnchecked(3, 4, 1.5);
+  // An input edge below kDefaultZeroEps (kept by Build(0.0)): the session
+  // normalizes it away up front, so a streamed session agrees with a
+  // from-scratch one whose default build drops the same edge.
+  GraphBuilder b1(6), b2(6), control_b2(6);
+  for (GraphBuilder* b : {&b2, &control_b2}) {
+    b->AddEdgeUnchecked(0, 1, 3.0);
+    b->AddEdgeUnchecked(1, 2, 1e-13);  // below kDefaultZeroEps
+    b->AddEdgeUnchecked(2, 3, 2.0);
+    b->AddEdgeUnchecked(3, 4, 1.5);
+  }
+  control_b2.AddEdgeUnchecked(4, 5, 1.0);
   Result<Graph> g1 = b1.Build();
-  Result<Graph> g2 = b2.Build();
-  ASSERT_TRUE(g1.ok() && g2.ok());
+  Result<Graph> g2 = b2.Build(/*zero_eps=*/0.0);
+  Result<Graph> control_g2 = control_b2.Build();
+  ASSERT_TRUE(g1.ok() && g2.ok() && control_g2.ok());
+  ASSERT_TRUE(g2->HasEdge(1, 2));
 
-  auto run = [&](double ratio) {
-    SessionOptions options;
-    options.zero_eps = 0.5;
-    options.patch_rebuild_ratio = ratio;
-    Result<MinerSession> session = MinerSession::Create(*g1, *g2, options);
-    DCS_CHECK(session.ok());
-    DCS_CHECK(session->ApplyUpdate(UpdateSide::kG2, 4, 5, 1.0).ok());
-    MiningRequest request;
-    request.measure = Measure::kBoth;
-    Result<MiningResponse> response = session->Mine(request);
-    DCS_CHECK(response.ok());
-    Result<Graph> gd = session->DifferenceSnapshot();
-    DCS_CHECK(gd.ok());
-    return std::make_pair(SerializeSubgraphs(*response), *gd);
-  };
-  auto [patched_response, patched_gd] = run(/*ratio=*/1e9);
-  auto [rebuilt_response, rebuilt_gd] = run(/*ratio=*/0.0);
-  EXPECT_EQ(patched_response, rebuilt_response);
-  ExpectGraphsBitIdentical(patched_gd, rebuilt_gd, "sub-eps base edges");
-  // The sub-eps edge was normalized away on both paths.
-  EXPECT_FALSE(patched_gd.HasEdge(1, 2));
+  Result<MinerSession> session = MinerSession::Create(*g1, *g2);
+  Result<MinerSession> control = MinerSession::Create(*g1, *control_g2);
+  ASSERT_TRUE(session.ok() && control.ok());
+  MiningRequest request;
+  request.measure = Measure::kBoth;
+  ASSERT_TRUE(session->Mine(request).ok());  // caches the pipeline
+  ASSERT_TRUE(session->ApplyUpdate(UpdateSide::kG2, 4, 5, 1.0).ok());
+  Result<MiningResponse> streamed = session->Mine(request);
+  Result<MiningResponse> expected = control->Mine(request);
+  ASSERT_TRUE(streamed.ok() && expected.ok());
+  EXPECT_EQ(SerializeSubgraphs(*streamed), SerializeSubgraphs(*expected));
+  Result<Graph> streamed_gd = session->DifferenceSnapshot();
+  Result<Graph> control_gd = control->DifferenceSnapshot();
+  ASSERT_TRUE(streamed_gd.ok() && control_gd.ok());
+  ExpectGraphsBitIdentical(*streamed_gd, *control_gd, "sub-eps base edges");
+  EXPECT_FALSE(streamed_gd->HasEdge(1, 2));
 }
 
 TEST(StreamingUpdateEquivalenceTest, EmptyFlushIsANoOp) {
@@ -302,13 +377,11 @@ TEST(StreamingUpdateEquivalenceTest, EmptyFlushIsANoOp) {
   request.measure = Measure::kAverageDegree;
   Result<MiningResponse> first = session->Mine(request);
   ASSERT_TRUE(first.ok());
-  const uint64_t flushes = session->num_update_patches() +
-                           session->num_update_rebuilds();
+  const uint64_t flushes = session->num_update_patches();
   // No pending updates: repeated mining flushes nothing and hits the cache.
   Result<MiningResponse> second = session->Mine(request);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(session->num_update_patches() + session->num_update_rebuilds(),
-            flushes);
+  EXPECT_EQ(session->num_update_patches(), flushes);
   EXPECT_TRUE(second->telemetry.reused_cached_difference);
   EXPECT_EQ(SerializeSubgraphs(*first), SerializeSubgraphs(*second));
 }

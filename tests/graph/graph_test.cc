@@ -250,14 +250,26 @@ TEST(GraphBuilderTest, AccumulatesDuplicateEdges) {
 }
 
 TEST(GraphBuilderTest, DropsCancelledEdges) {
-  GraphBuilder builder(3);
+  // Sorted, the entries form runs (0,1)x2, (1,2), (1,3)x3, (2,3)x3. In
+  // binary the (1,3) run sums to a residue below zero_eps, not to 0, and
+  // is dropped, so the (2,3) run is compacted over it.
+  GraphBuilder builder(4);
   ASSERT_TRUE(builder.AddEdge(0, 1, 2.0).ok());
   ASSERT_TRUE(builder.AddEdge(0, 1, -2.0).ok());
   ASSERT_TRUE(builder.AddEdge(1, 2, 1.0).ok());
+  ASSERT_TRUE(builder.AddEdge(1, 3, 0.1).ok());
+  ASSERT_TRUE(builder.AddEdge(3, 1, 0.2).ok());
+  ASSERT_TRUE(builder.AddEdge(1, 3, -0.3).ok());
+  ASSERT_TRUE(builder.AddEdge(2, 3, 1.0).ok());
+  ASSERT_TRUE(builder.AddEdge(3, 2, 0.5).ok());
+  ASSERT_TRUE(builder.AddEdge(2, 3, 0.25).ok());
   auto g = builder.Build();
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->NumEdges(), 1u);
+  EXPECT_EQ(g->NumEdges(), 2u);
   EXPECT_FALSE(g->HasEdge(0, 1));
+  EXPECT_FALSE(g->HasEdge(1, 3));
+  EXPECT_EQ(g->EdgeWeight(1, 2), 1.0);
+  EXPECT_EQ(g->EdgeWeight(2, 3), 1.75);
 }
 
 TEST(GraphBuilderTest, ZeroEpsThresholdIsConfigurable) {

@@ -145,11 +145,9 @@ TEST_F(ChaosTest, StormStaysTerminalAndBitIdentical) {
                            "pool.dispatch:every=37,times=2")
                   .ok());
 
-  SessionOptions session_options;
-  session_options.store_failure_threshold = 3;
   MiningServiceOptions service_options;
   service_options.artifact_store = store;
-  MiningService service(MustCreate(g1, g2, session_options), service_options);
+  MiningService service(MustCreate(g1, g2), service_options);
 
   // Atomic slots: the canceller spin-reads each id while its submitter is
   // still publishing them.
@@ -225,7 +223,7 @@ TEST_F(ChaosTest, StormStaysTerminalAndBitIdentical) {
   // The ladder ran its full course: write-backs failed, the threshold
   // tripped, the store was detached — and mining kept answering above.
   EXPECT_EQ(service.health(), HealthState::kStoreOffline);
-  EXPECT_GE(service.num_store_write_errors(), 3u);
+  EXPECT_GE(service.num_store_write_errors(), kStoreFailureThreshold);
   EXPECT_GE(service.num_health_transitions(), 1u);
 
   // No partial/torn on-disk state: an injected append fails before any byte
@@ -435,10 +433,7 @@ TEST_F(ChaosTest, MultiTenantSchedulerStormStaysTerminalAndIsolated) {
       std::make_shared<ThreadPool>(ThreadPool::DefaultConcurrency() - 1);
   MiningService service(service_options);
   for (auto& [g1, g2] : pairs) {
-    SessionOptions session_options;
-    session_options.store_failure_threshold = 3;
-    Result<TenantId> tenant =
-        service.AddTenant(MustCreate(g1, g2, session_options));
+    Result<TenantId> tenant = service.AddTenant(MustCreate(g1, g2));
     ASSERT_TRUE(tenant.ok());
   }
 

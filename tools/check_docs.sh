@@ -11,7 +11,11 @@
 #      mention actually exists — labels against the LABELS declarations in
 #      the CMakeLists; flags (on dcs_mine lines and in inline `code spans`,
 #      cmake/ctest lines aside) against dcs_mine's kFlagTable and the flags
-#      tools/dcs_store.cc accepts.
+#      tools/dcs_store.cc accepts;
+#   4. every `Type::member` token the docs mention names a word of the
+#      src/*/*.h header that defines Type (a struct/class/enum class line,
+#      not a forward declaration), so a deleted or renamed member cannot
+#      linger in the prose.
 #
 # Usage: check_docs.sh [repo-root]
 
@@ -95,6 +99,25 @@ for doc in "${docs[@]}"; do
     printf '%s\n' "$lines" | grep 'dcs_mine'
     printf '%s\n' "$lines" | grep -oE '`[^`]+`'
   } | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u)
+done
+
+# --- 4. Type::member tokens resolve against the defining header ------------
+for doc in "${docs[@]}"; do
+  [ -s "$doc" ] || continue
+  rel="${doc#"$root"/}"
+  while IFS= read -r token; do
+    [ -z "$token" ] && continue
+    type="${token%%::*}"
+    member="${token#*::}"
+    headers=$(grep -lE "^[[:space:]]*(struct|class|enum class)[[:space:]]+${type}([[:space:]{:]|$)" \
+        "$root"/src/*/*.h)
+    if [ -z "$headers" ]; then
+      fail "$rel names $token, but no src/*/*.h defines $type"
+    elif ! grep -qw -- "$member" $headers; then
+      fail "$rel names $token, which the header defining $type" \
+           "(${headers//$root\//}) does not mention"
+    fi
+  done < <(grep -ohE '\b[A-Z][A-Za-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*' "$doc" | sort -u)
 done
 
 if [ "$status" -eq 0 ]; then
