@@ -211,7 +211,21 @@ Result<RecordLog> RecordLog::Open(const std::string& path,
   DCS_ASSIGN_OR_RETURN(
       int fd, OpenFile(path, format,
                        create_if_missing ? (O_RDWR | O_CREAT) : O_RDWR));
-  return RecordLog(format, fd);
+  RecordLog log(format, fd);
+  // A 0-byte file (just created, or left by a crash before the first write)
+  // gets its superblock now, so a handle closed before any append leaves an
+  // empty log that Fsck reports clean. The size is re-read under the
+  // exclusive lock so a racing handle's superblock and records are kept; a
+  // non-empty file takes no lock here.
+  Result<uint64_t> size = FileSize(fd);
+  if (size.ok() && *size == 0) {
+    ScopedFileLock file_lock(fd, LOCK_EX);
+    size = FileSize(fd);
+    if (size.ok() && *size == 0) {
+      DCS_RETURN_NOT_OK(WriteExact(fd, 0, SerializeSuperblock(format)));
+    }
+  }
+  return log;
 }
 
 // ---- scan ------------------------------------------------------------------
@@ -221,8 +235,8 @@ std::vector<RecordFrame> RecordLog::Scan() {
   reliable_end_ = 0;
   tail_unreliable_ = true;
   ScopedFileLock file_lock(fd_, LOCK_SH);
-  // An fstat failure or a brand-new file: trust nothing yet; the first
-  // append writes the superblock.
+  // An fstat failure, or a file emptied since Open: trust nothing yet; the
+  // first append writes the superblock.
   Result<uint64_t> size = FileSize(fd_);
   if (!size.ok() || *size == 0) return frames;
 

@@ -114,8 +114,10 @@ class RecordLog {
   static constexpr uint32_t kMaxIoRetries = 3;
   static constexpr double kRetryBackoffMs = 0.5;
 
-  /// Opens `path` read-write, creating an empty file when asked; NotFound
-  /// when it is absent otherwise. Reads nothing — call Scan next.
+  /// Opens `path` read-write, creating it when asked; NotFound when it is
+  /// absent otherwise. A 0-byte file gets its superblock (under the
+  /// exclusive lock), so even a log closed before its first append is a
+  /// valid empty log. Reads nothing — call Scan next.
   static Result<RecordLog> Open(const std::string& path,
                                 const RecordLogFormat& format,
                                 bool create_if_missing);

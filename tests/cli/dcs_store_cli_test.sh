@@ -7,7 +7,8 @@
 # second, and the `# journal:` line appends and the recovered first job. The
 # first run must leave one valid store record per pipeline record (no dead
 # frame). Then pins the dcs_store exit-code contract: 0 for
-# fsck / journal fsck / stat / ls on the fresh files, 1 for fsck once one
+# fsck / journal fsck / stat / ls on the fresh files and on 0-byte files
+# once a handle has opened them, 1 for fsck once one
 # payload byte is flipped, 2 on bad usage. `ls` must list pipeline rows
 # only: the store holds no input-graph records. Also pins the dcs_mine usage
 # paths: a missing value, an unknown flag and an invalid number all exit 2.
@@ -122,6 +123,16 @@ fi
 expect 0 journal fsck "$journal"
 expect 0 journal stat "$journal"
 expect 0 journal ls "$journal"
+
+# A 0-byte file, as a crash before the first write leaves one: opening it
+# (here through stat) writes the superblock, so fsck then finds an empty,
+# clean log instead of a missing superblock.
+: > "$dir/empty.dcs"
+: > "$dir/empty.dcsj"
+expect 0 stat "$dir/empty.dcs"
+expect 0 fsck "$dir/empty.dcs"
+expect 0 journal stat "$dir/empty.dcsj"
+expect 0 journal fsck "$dir/empty.dcsj"
 
 # expect_mine <exit code> <stderr substring or ""> <dcs_mine args...>
 expect_mine() {

@@ -293,16 +293,57 @@ TEST(RecordLogTest, FaultSiteHitCounts) {
     ASSERT_TRUE((*journal)->TruncateUnreliableTail().ok());
   }
 
-  // store.flock: 7 store operations (open, put, load, async put, fsck,
-  // reopen, load) and 7 journal ones (open, 3 appends, fsck, reopen,
-  // replay); the clean-tail truncation takes no lock.
+  // store.flock: 8 store operations (the new file's superblock write at
+  // open, open, put, load, async put, fsck, reopen, load) and 8 journal
+  // ones (superblock write, open, 3 appends, fsck, reopen, replay); the
+  // clean-tail truncation takes no lock.
   EXPECT_EQ(faults.hits(fault_sites::kStoreRead), 2u);
   EXPECT_EQ(faults.hits(fault_sites::kStoreAppend), 2u);
-  EXPECT_EQ(faults.hits(fault_sites::kStoreFlock), 14u);
+  EXPECT_EQ(faults.hits(fault_sites::kStoreFlock), 16u);
   EXPECT_EQ(faults.hits(fault_sites::kJournalAppend), 3u);
   EXPECT_EQ(faults.hits(fault_sites::kJournalFsync), 3u);
   EXPECT_EQ(faults.hits(fault_sites::kJournalReplay), 3u);
   faults.Reset();
+}
+
+// ---- never-appended files --------------------------------------------------
+
+TEST(RecordLogTest, NeverAppendedStoreAndJournalAreClean) {
+  // Opening a new (or 0-byte) file writes its superblock, so closing before
+  // the first append leaves an empty log, not a file fsck calls corrupt.
+  const std::string store_path = TempPath("never_appended.dcs");
+  const std::string journal_path = TempPath("never_appended.dcsj");
+  for (const std::string& path : {store_path, journal_path}) {
+    std::filesystem::remove(path);
+  }
+  WriteFileBytes(journal_path, "");  // a 0-byte file left by a crash
+  {
+    Result<std::shared_ptr<ArtifactStore>> store =
+        ArtifactStore::Open(store_path);
+    Result<std::shared_ptr<JobJournal>> journal =
+        JobJournal::Open(journal_path);
+    ASSERT_TRUE(store.ok() && journal.ok());
+  }
+  Result<ArtifactFsckReport> store_fsck = ArtifactStore::Fsck(store_path);
+  ASSERT_TRUE(store_fsck.ok());
+  EXPECT_TRUE(store_fsck->superblock_ok);
+  EXPECT_EQ(store_fsck->corrupt_pages, 0u);
+  EXPECT_EQ(store_fsck->valid_records, 0u);
+  EXPECT_EQ(store_fsck->file_bytes, kSuperblockBytes);
+  Result<JournalFsckReport> journal_fsck = JobJournal::Fsck(journal_path);
+  ASSERT_TRUE(journal_fsck.ok());
+  EXPECT_TRUE(journal_fsck->superblock_ok);
+  EXPECT_EQ(journal_fsck->corrupt_pages, 0u);
+  EXPECT_EQ(journal_fsck->file_bytes, kSuperblockBytes);
+
+  // The next append goes after that superblock and discards nothing.
+  Result<std::shared_ptr<ArtifactStore>> store =
+      ArtifactStore::Open(store_path);
+  ASSERT_TRUE(store.ok());
+  const auto [key, pipeline] = GoldenPipeline();
+  ASSERT_TRUE((*store)->PutPipeline(key, pipeline).ok());
+  EXPECT_EQ((*store)->stats().truncated_tail_bytes, 0u);
+  EXPECT_TRUE((*store)->LoadPipeline(key).ok());
 }
 
 // ---- one truncation rule --------------------------------------------------
