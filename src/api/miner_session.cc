@@ -74,7 +74,6 @@ MinerSession::MinerSession(VertexId num_vertices, Graph g1, Graph g2,
       g2_(NormalizedForZeroEps(std::move(g2))) {
   if (options_.pipeline_cache != nullptr) {
     cache_ = options_.pipeline_cache;
-    private_cache_ = false;
   } else {
     PipelineCacheOptions cache_options;
     // 0 meant "evict everything but the fresh pipeline" before the cache
@@ -82,11 +81,11 @@ MinerSession::MinerSession(VertexId num_vertices, Graph g1, Graph g2,
     cache_options.max_entries =
         std::max<size_t>(1, options_.max_cached_pipelines);
     cache_ = std::make_shared<PipelineCache>(cache_options);
-    private_cache_ = true;
   }
   g1_accumulator_ = g1_.ContentAccumulator();
   g2_accumulator_ = g2_.ContentAccumulator();
   graph_fingerprint_ = CurrentFingerprint();
+  cache_->HoldFingerprint(graph_fingerprint_);
   if (options_.artifact_store != nullptr) {
     UseArtifactStore(options_.artifact_store);
   }
@@ -127,7 +126,7 @@ Result<MinerSession> MinerSession::CreateStreaming(VertexId num_vertices,
 void MinerSession::UsePipelineCache(std::shared_ptr<PipelineCache> cache) {
   DCS_CHECK(cache != nullptr) << "UsePipelineCache needs a cache";
   cache_ = std::move(cache);
-  private_cache_ = false;
+  cache_->HoldFingerprint(graph_fingerprint_);
 }
 
 void MinerSession::UseWorkerPool(std::shared_ptr<ThreadPool> pool) {
@@ -225,10 +224,10 @@ void MinerSession::FlushUpdates() {
                                    PatchPipeline(*snapshot, key, changed)));
     ++num_republished_;
   }
-  // A private cache holds no other session's entries, so the stale ones are
-  // dropped eagerly; in a shared cache they may still serve sessions whose
-  // graphs kept the old content, and age out via LRU otherwise.
-  if (private_cache_) cache_->EraseFingerprint(stale_fingerprint);
+  // The stale entries go once no other attached session holds the old
+  // content (always, for a private cache); while one does, they still serve
+  // it.
+  cache_->MoveFingerprintHolder(stale_fingerprint, graph_fingerprint_);
 }
 
 PreparedPipeline MinerSession::PatchPipeline(
@@ -296,6 +295,22 @@ PreparedPipeline MinerSession::PatchPipeline(
   out.smart_bounds = old_pipeline.smart_bounds;
   ApplySmartInitBoundsDelta(old_pipeline.positive_part, out.positive_part,
                             positive_changes, &out.smart_bounds);
+  // Only the rows of the changed GD+ pairs' endpoints differ; a descent
+  // that read none of them replays exactly (the proof is above DriveSeeds
+  // in core/newsea.cc).
+  std::vector<VertexId> changed_endpoints;
+  changed_endpoints.reserve(positive_changes.size() * 2);
+  for (const PositivePairDelta& change : positive_changes) {
+    changed_endpoints.push_back(change.u);
+    changed_endpoints.push_back(change.v);
+  }
+  // A pipeline gets its memo at its first patch: only a patched pipeline's
+  // solves can follow on descents recorded before the update, and a
+  // pipeline rebuilt for every request would fill a memo nothing reads.
+  out.descent_memo =
+      old_pipeline.descent_memo != nullptr
+          ? old_pipeline.descent_memo->CarriedOver(changed_endpoints)
+          : std::make_shared<DescentMemo>();
   out.has_ga_artifacts = true;
   // GD+ holds only strictly positive assignments by construction, so the
   // non-negativity mark carries over without an O(m) rescan.
@@ -501,6 +516,7 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
     context.positive_part = &pipeline.positive_part;
     context.smart_bounds = &pipeline.smart_bounds;
     context.positive_part_validated = pipeline.validated_nonnegative;
+    context.descent_memo = pipeline.descent_memo.get();
   }
   context.pool = pool;
   context.parallelism_budget = static_cast<uint32_t>(ParallelismBudget());

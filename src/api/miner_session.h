@@ -135,7 +135,8 @@ class MinerSession {
   /// pipelines, *republishing* them under the refreshed fingerprint — the
   /// next query hits the cache instead of rebuilding. The move is
   /// copy-on-write: other sessions sharing the cache — and snapshots pinned
-  /// by in-flight solves — keep the old, immutable entries. Fails on
+  /// by in-flight solves — keep the old, immutable entries, which the cache
+  /// drops once no attached session holds the old content. Fails on
   /// self-loops, out-of-range endpoints, or non-finite deltas.
   Status ApplyUpdate(UpdateSide side, VertexId u, VertexId v, double delta);
 
@@ -326,7 +327,6 @@ class MinerSession {
   // SessionOptions::pipeline_cache (or UsePipelineCache) attached a shared
   // one. Never null.
   std::shared_ptr<PipelineCache> cache_;
-  bool private_cache_ = true;
   // The attached persistent store (SessionOptions::artifact_store or
   // UseArtifactStore); null for a memory-only session.
   std::shared_ptr<ArtifactStore> store_;

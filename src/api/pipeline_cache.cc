@@ -95,6 +95,11 @@ uint64_t PipelineGraphFingerprint(const Graph& g1, const Graph& g2) {
 }
 
 size_t PreparedPipeline::ApproxBytes() const {
+  return ArtifactBytes() +
+         (descent_memo != nullptr ? descent_memo->ApproxBytes() : 0);
+}
+
+size_t PreparedPipeline::ArtifactBytes() const {
   return sizeof(PreparedPipeline) + difference.ApproxBytes() +
          positive_part.ApproxBytes() +
          smart_bounds.w.capacity() * sizeof(double) +
@@ -118,7 +123,12 @@ Result<PipelineCache::Snapshot> PipelineCache::GetOrPrepare(
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       ++hits_;
       *reused_difference = true;
-      return it->second.prepared;
+      Snapshot hit = it->second.prepared;
+      // The descent memo grew during the solves since the last check; the
+      // byte budget sees it here (the hit's snapshot stays valid if its
+      // own entry is the one evicted).
+      EnforceLimitsLocked();
+      return hit;
     }
     if (building_.count(key) != 0) {
       // Another session is preparing this key (or upgrading it); block until
@@ -175,7 +185,7 @@ Result<PipelineCache::Snapshot> PipelineCache::GetOrPrepare(
 
 void PipelineCache::InsertLocked(const PipelineCacheKey& key,
                                  Snapshot snapshot) {
-  const size_t bytes = snapshot->ApproxBytes();
+  const size_t bytes = snapshot->ArtifactBytes();
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Upgrade: replace in place, refresh recency. Holders of the old
@@ -194,13 +204,22 @@ void PipelineCache::InsertLocked(const PipelineCacheKey& key,
   EnforceLimitsLocked();
 }
 
+size_t PipelineCache::TotalBytesLocked() const {
+  size_t total = bytes_;
+  for (const auto& [key, entry] : entries_) {
+    const DescentMemo* memo = entry.prepared->descent_memo.get();
+    if (memo != nullptr) total += memo->ApproxBytes();
+  }
+  return total;
+}
+
 void PipelineCache::EnforceLimitsLocked() {
   // LRU + byte-budget eviction. May reclaim the entry just inserted (or just
   // memoized into) when it alone exceeds the byte budget — the caller's
   // snapshot and response stay valid.
   while (!lru_.empty() &&
          ((options_.max_entries != 0 && entries_.size() > options_.max_entries) ||
-          (options_.max_bytes != 0 && bytes_ > options_.max_bytes))) {
+          (options_.max_bytes != 0 && TotalBytesLocked() > options_.max_bytes))) {
     EvictLocked(entries_.find(lru_.back()), /*count_eviction=*/true);
   }
 }
@@ -290,6 +309,10 @@ PipelineCache::SnapshotsFor(uint64_t graph_fingerprint) const {
 
 void PipelineCache::EraseFingerprint(uint64_t graph_fingerprint) {
   std::lock_guard<std::mutex> lock(mutex_);
+  EraseFingerprintLocked(graph_fingerprint);
+}
+
+void PipelineCache::EraseFingerprintLocked(uint64_t graph_fingerprint) {
   for (auto it = entries_.begin(); it != entries_.end();) {
     auto next = std::next(it);
     if (it->first.graph_fingerprint == graph_fingerprint) {
@@ -297,6 +320,20 @@ void PipelineCache::EraseFingerprint(uint64_t graph_fingerprint) {
     }
     it = next;
   }
+}
+
+void PipelineCache::HoldFingerprint(uint64_t graph_fingerprint) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++holders_[graph_fingerprint];
+}
+
+void PipelineCache::MoveFingerprintHolder(uint64_t from, uint64_t to) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++holders_[to];
+  auto it = holders_.find(from);
+  if (it == holders_.end() || --it->second != 0) return;
+  holders_.erase(it);
+  EraseFingerprintLocked(from);
 }
 
 void PipelineCache::Clear() {
@@ -325,7 +362,7 @@ PipelineCacheStats PipelineCache::stats() const {
   stats.evictions = evictions_;
   stats.response_hits = response_hits_;
   stats.entries = entries_.size();
-  stats.bytes = bytes_;
+  stats.bytes = TotalBytesLocked();
   return stats;
 }
 

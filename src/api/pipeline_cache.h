@@ -25,8 +25,10 @@
 // never invalidate an in-flight solve. Invalidation is copy-on-write: a
 // streaming ApplyUpdate changes the updating session's graph fingerprint,
 // which redirects that session to fresh keys while every other session (and
-// every pinned snapshot) keeps reading the old, still-immutable entries
-// until LRU/byte-budget eviction reclaims them.
+// every pinned snapshot) keeps reading the old, still-immutable entries.
+// The cache counts the sessions attached at each fingerprint and drops a
+// fingerprint's entries when the last of them moves on
+// (MoveFingerprintHolder); LRU/byte-budget eviction reclaims the rest.
 //
 // Thread safety. All methods are safe to call from any thread. GetOrPrepare
 // runs its build callback *outside* the cache lock and gates concurrent
@@ -45,6 +47,14 @@
 // to the exact snapshot it was solved on: replacing the entry's snapshot (GA
 // upgrade, streaming republish) clears the memo, and dropping the entry
 // drops it. Which requests may be memoized is the session's decision.
+//
+// Descent memo. Below the response memo, a GA pipeline that a streaming
+// patch produced carries a per-seed descent memo
+// (PreparedPipeline::descent_memo), internally synchronized and filled by
+// every builtin DCSGA solve on it; the next patch carries over the records
+// it leaves valid, so the solves after a batch replay the seeds whose
+// descents it left untouched. It never changes a result bit. Its bytes
+// count toward max_bytes as it grows.
 
 #ifndef DCS_API_PIPELINE_CACHE_H_
 #define DCS_API_PIPELINE_CACHE_H_
@@ -63,6 +73,7 @@
 #include <vector>
 
 #include "api/mining.h"
+#include "core/descent_memo.h"
 #include "core/newsea.h"       // SmartInitBounds
 #include "graph/difference.h"  // DiscretizeSpec
 #include "graph/graph.h"
@@ -119,8 +130,18 @@ struct PreparedPipeline {
   /// GD+ passed the non-negativity scan once; solves against this pipeline
   /// skip their own O(m) scan.
   bool validated_nonnegative = false;
+  /// Per-seed NewSEA / harvest descents on `positive_part`
+  /// (core/descent_memo.h): the one part of a published pipeline that
+  /// changes, filled by the solves that run on it. Null until a streaming
+  /// patch produces the pipeline: the patch creates the memo, or carries
+  /// over the records of its predecessor's that its changes leave valid.
+  /// Not persisted.
+  std::shared_ptr<DescentMemo> descent_memo;
 
-  /// Approximate heap footprint, the unit of the cache byte budget.
+  /// Approximate heap footprint of the graphs and bounds.
+  size_t ArtifactBytes() const;
+  /// ArtifactBytes plus the descent memo as it stands: the unit of the cache
+  /// byte budget.
   size_t ApproxBytes() const;
 };
 
@@ -129,7 +150,9 @@ struct PreparedPipeline {
 struct PipelineCacheOptions {
   /// Max distinct prepared pipelines kept resident. 0 = unbounded.
   size_t max_entries = 64;
-  /// Byte budget over PreparedPipeline::ApproxBytes. 0 = unbounded. A budget
+  /// Byte budget over PreparedPipeline::ApproxBytes (descent memos counted
+  /// as they grow, checked at every insertion and hit) plus memoized
+  /// responses. 0 = unbounded. A budget
   /// smaller than a single entry degrades gracefully: the entry is built,
   /// returned to the caller (whose snapshot stays valid) and immediately
   /// evicted.
@@ -154,7 +177,8 @@ struct PipelineCacheStats {
   /// LookupResponse calls served from an entry's response memo.
   uint64_t response_hits = 0;
   size_t entries = 0;
-  /// Resident bytes: entry ApproxBytes plus memoized responses.
+  /// Resident bytes: entry ApproxBytes (descent memos included) plus
+  /// memoized responses.
   size_t bytes = 0;
 };
 
@@ -237,6 +261,18 @@ class PipelineCache {
   /// snapshots stay valid). Sessions re-materialize on demand.
   void EraseFingerprint(uint64_t graph_fingerprint);
 
+  /// \brief Counts one more session whose graph pair has
+  /// `graph_fingerprint` (MinerSession calls it as it attaches).
+  void HoldFingerprint(uint64_t graph_fingerprint);
+
+  /// \brief A holding session's graphs moved from fingerprint `from` to
+  /// `to` (a streaming update, after its republish): counts it under `to`,
+  /// and drops every entry of `from` once no attached session holds `from`
+  /// — nothing can hit those entries until a session over that exact
+  /// content attaches again, which rebuilds or warm-boots them. A session
+  /// that is destroyed keeps its count, so its entries age out by LRU.
+  void MoveFingerprintHolder(uint64_t from, uint64_t to);
+
   /// Drops every resident entry.
   void Clear();
 
@@ -262,7 +298,8 @@ class PipelineCache {
 
   struct Entry {
     Snapshot prepared;
-    /// The snapshot's ApproxBytes plus the memo's bytes.
+    /// The snapshot's ArtifactBytes plus the response memo's bytes; the
+    /// snapshot's descent memo grows after insertion and is read live.
     size_t bytes = 0;
     /// Position in lru_ (front = most recently used).
     std::list<PipelineCacheKey>::iterator lru_it;
@@ -274,8 +311,12 @@ class PipelineCache {
   // Replaces/creates the entry for `key` and applies the LRU/byte limits.
   // Mutex held.
   void InsertLocked(const PipelineCacheKey& key, Snapshot snapshot);
+  // bytes_ plus every resident descent memo's current bytes. Mutex held.
+  size_t TotalBytesLocked() const;
   // Evicts least-recently-used entries until both limits hold. Mutex held.
   void EnforceLimitsLocked();
+  // EraseFingerprint's body. Mutex held.
+  void EraseFingerprintLocked(uint64_t graph_fingerprint);
   // Drops `it`'s entry. Mutex held.
   void EvictLocked(std::unordered_map<PipelineCacheKey, Entry,
                                       KeyHash>::iterator it,
@@ -291,6 +332,9 @@ class PipelineCache {
   std::unordered_set<PipelineCacheKey, KeyHash> building_;
   // LRU order of resident keys, most recent first.
   std::list<PipelineCacheKey> lru_;
+  // Attached sessions per graph-pair fingerprint (HoldFingerprint).
+  std::unordered_map<uint64_t, size_t> holders_;
+  // Entry bytes, descent memos excluded.
   size_t bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -89,9 +89,9 @@ Result<std::vector<RankedSubgraph>> SolveDcsgaBuiltin(
     Result<DcsgaResult> fresh =
         context.smart_bounds != nullptr
             ? RunNewSea(gd_plus, *context.smart_bounds, solver_options,
-                        context.pool)
+                        context.pool, context.descent_memo)
             : RunNewSea(gd_plus, ComputeSmartInitBounds(gd_plus),
-                        solver_options, context.pool);
+                        solver_options, context.pool, context.descent_memo);
     if (!fresh.ok()) return fresh.status();
     DcsgaResult best = std::move(*fresh);
 
@@ -137,7 +137,7 @@ Result<std::vector<RankedSubgraph>> SolveDcsgaBuiltin(
   options.min_affinity = request.min_affinity;
   options.solver = solver_options;
   DCS_ASSIGN_OR_RETURN(std::vector<CliqueRecord> cliques,
-                       MineTopKDcsga(gd_plus, options));
+                       MineTopKDcsga(gd_plus, options, context.descent_memo));
   out.reserve(cliques.size());
   for (CliqueRecord& clique : cliques) {
     RankedSubgraph ranked;

@@ -16,10 +16,12 @@
 // any thread. Registration is global and permanent (no unregister), so
 // Find'ing a function pointer once published is always safe to call.
 //
-// Determinism: a registered solver must be a pure function of
+// Determinism: a registered solver's result must be a pure function of
 // (context, request) — MiningService executors invoke solvers from multiple
 // threads concurrently, and the facade's bit-identical multi-tenant and
 // shared pipeline cache guarantees only extend to solvers that honor this.
+// The pipeline's descent memo (SolverContext::descent_memo) is the one
+// shared mutable state in a context; it is a cache of pure descents.
 
 #ifndef DCS_API_SOLVER_REGISTRY_H_
 #define DCS_API_SOLVER_REGISTRY_H_
@@ -68,11 +70,18 @@ struct SolverContext {
   /// the builtin "dcsga" solver threads it into its seed driver. A
   /// solver that ignores the token just cancels less promptly.
   const CancelToken* cancel = nullptr;
+  /// The pipeline's per-seed descent memo over `positive_part`
+  /// (core/descent_memo.h), or null. Internally synchronized; the builtin
+  /// "dcsga" solver replays and records NewSEA and harvest descents
+  /// through it, bit-identically to solving without it.
+  DescentMemo* descent_memo = nullptr;
 };
 
-/// A solver: prepared inputs + request → ranked subgraphs. Must be pure
-/// (no shared mutable state) — MiningService executors invoke solvers from
-/// multiple threads concurrently.
+/// A solver: prepared inputs + request → ranked subgraphs. Its result must
+/// be a pure function of (context, request) — MiningService executors
+/// invoke solvers from multiple threads concurrently. The one shared
+/// mutable state a solver may touch is SolverContext::descent_memo, which
+/// is synchronized and whose replays are bit-identical to fresh descents.
 using SolverFn = Result<std::vector<RankedSubgraph>> (*)(
     const SolverContext& context, const MiningRequest& request,
     MiningTelemetry* telemetry);

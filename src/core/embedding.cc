@@ -68,22 +68,25 @@ AffinityState::AffinityState(const Graph& graph)
       x_(graph.NumVertices(), 0.0),
       dx_(graph.NumVertices(), 0.0),
       support_pos_(graph.NumVertices(), kNotInSupport),
-      in_ever_support_(graph.NumVertices(), 0),
+      read_kind_(graph.NumVertices(), kUnread),
       renorm_seen_(graph.NumVertices(), 0) {}
 
 void AffinityState::ResetToVertex(VertexId u) {
   DCS_CHECK(u < NumVertices());
-  // Clear the sparse residue of the previous run. Iterating the vertices
+  // Clear the sparse residue of the previous run. Iterating every vertex
   // that *ever* held mass — not just the final support — wipes every dx
   // entry the run touched, including last-ulp cancellation residue at
-  // neighbors of vertices that left the support mid-run.
-  for (VertexId v : ever_support_) {
-    for (VertexId t : graph_->NeighborsOf(v).targets()) dx_[t] = 0.0;
-    x_[v] = 0.0;
-    support_pos_[v] = kNotInSupport;
-    in_ever_support_[v] = 0;
+  // neighbors of vertices that left the support mid-run. A vertex whose row
+  // was only read never changed x or dx.
+  for (VertexId v : read_set_) {
+    if (read_kind_[v] == kHeldMass) {
+      for (VertexId t : graph_->NeighborsOf(v).targets()) dx_[t] = 0.0;
+      x_[v] = 0.0;
+      support_pos_[v] = kNotInSupport;
+    }
+    read_kind_[v] = kUnread;
   }
-  ever_support_.clear();
+  read_set_.clear();
   support_.clear();
   SetX(u, 1.0);
 }
@@ -111,9 +114,14 @@ void AffinityState::AddToSupport(VertexId v) {
   if (support_pos_[v] != kNotInSupport) return;
   support_pos_[v] = static_cast<uint32_t>(support_.size());
   support_.push_back(v);
-  if (!in_ever_support_[v]) {
-    in_ever_support_[v] = 1;
-    ever_support_.push_back(v);
+  if (read_kind_[v] == kUnread) read_set_.push_back(v);
+  read_kind_[v] = kHeldMass;
+}
+
+void AffinityState::NoteRowRead(VertexId v) {
+  if (read_kind_[v] == kUnread) {
+    read_kind_[v] = kRowRead;
+    read_set_.push_back(v);
   }
 }
 

@@ -86,6 +86,17 @@ class AffinityState {
   /// Current support (ascending order not guaranteed; no duplicates).
   std::span<const VertexId> support() const { return support_; }
 
+  /// Every vertex whose graph row the run since the last reset read: each
+  /// vertex that entered the support, plus each one passed to NoteRowRead.
+  /// No duplicates; order of first read. A run is a pure function of its
+  /// start and of these rows, which is what lets NewSEA's descent memo
+  /// replay it on a patched graph that left them untouched.
+  std::span<const VertexId> read_set() const { return read_set_; }
+
+  /// Adds `v` to read_set(): for a caller that reads v's row itself
+  /// (SeaExpand's ω loop) while v may never enter the support.
+  void NoteRowRead(VertexId v);
+
   /// Sets x_v to `value` (>= 0) and updates dx along v's edges. O(deg v).
   void SetX(VertexId v, double value);
 
@@ -112,15 +123,17 @@ class AffinityState {
   std::vector<double> dx_;
   std::vector<VertexId> support_;
   std::vector<uint32_t> support_pos_;  // index into support_, or kNotInSupport
-  // Every vertex that entered the support since the last reset. dx can be
-  // non-zero only on the closed neighborhoods of these vertices, so zeroing
-  // exactly that set on reset restores dx ≡ 0 bit-for-bit: after a reset the
-  // state is indistinguishable from a freshly constructed one, and every run
-  // from a seed is a pure function of (graph, seed) no matter which runs the
-  // state hosted before. The NewSEA shard workers rely on this purity for
-  // their bit-identical-to-sequential guarantee.
-  std::vector<VertexId> ever_support_;
-  std::vector<char> in_ever_support_;
+  // The read set: every vertex that entered the support since the last reset
+  // (kHeldMass) plus NoteRowRead's (kRowRead). dx can be non-zero only on
+  // the closed neighborhoods of the kHeldMass vertices, so zeroing those on
+  // reset restores dx ≡ 0 bit-for-bit: after a reset the state is
+  // indistinguishable from a freshly constructed one, and every run from a
+  // seed is a pure function of (graph, seed) no matter which runs the state
+  // hosted before. The NewSEA shard workers rely on this purity for their
+  // bit-identical-to-sequential guarantee.
+  enum ReadKind : char { kUnread, kRowRead, kHeldMass };
+  std::vector<VertexId> read_set_;
+  std::vector<ReadKind> read_kind_;
   // Epoch-stamped scratch for Renormalize's visited set (no O(n) clears).
   std::vector<uint64_t> renorm_seen_;
   uint64_t renorm_epoch_ = 0;

@@ -108,7 +108,11 @@ ExpansionResult SeaExpand(AffinityState* state, double margin,
     state->SetX(v, std::max(0.0, state->x(v) * shrink_factor));
   }
   for (size_t idx = 0; idx < z.size(); ++idx) {
-    state->SetX(z[idx], state->x(z[idx]) + tau * gamma[idx]);
+    const double value = state->x(z[idx]) + tau * gamma[idx];
+    state->SetX(z[idx], value);
+    // The ω loop above read row z[idx]; a vertex whose mass rounds to 0
+    // never enters the support, so its read is noted here.
+    if (value == 0.0) state->NoteRowRead(z[idx]);
   }
   state->Renormalize();
 

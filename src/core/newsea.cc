@@ -6,9 +6,12 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <mutex>
 #include <numeric>
+#include <optional>
 #include <unordered_set>
 
+#include "core/descent_memo.h"
 #include "core/kernels.h"
 #include "core/refinement.h"
 #include "graph/kcore.h"
@@ -39,14 +42,6 @@ DcsgaResult TrivialResult(const Graph& gd_plus) {
   return result;
 }
 
-// Monotone lower-bound publication for the shared Theorem 6 bound.
-void FetchMax(std::atomic<double>* target, double value) {
-  double current = target->load(std::memory_order_relaxed);
-  while (value > current && !target->compare_exchange_weak(
-                                current, value, std::memory_order_relaxed)) {
-  }
-}
-
 // Number of shard workers a RunNewSea call actually uses.
 size_t ResolveShards(uint32_t requested, const ThreadPool* pool) {
   if (requested == 1) return 1;
@@ -57,63 +52,200 @@ size_t ResolveShards(uint32_t requested, const ThreadPool* pool) {
   return std::max<size_t>(shards, 1);
 }
 
+// Replays a recorded descent into `run` exactly as DescendInPlace would have
+// added the fresh one: one initialization, its iterations, and its embedding
+// as the run's best when it strictly improves.
+double ReplayDescent(const DescentRecord& record, VertexId n,
+                     DcsgaResult* run) {
+  ++run->initializations;
+  run->cd_iterations += record.cd_iterations;
+  if (record.affinity > run->affinity) {
+    run->affinity = record.affinity;
+    run->x = Embedding::Zeros(n);
+    for (size_t i = 0; i < record.members.size(); ++i) {
+      run->x.x[record.members[i]] = record.weights[i];
+    }
+    run->support = record.members;
+  }
+  return record.affinity;
+}
+
+// The refined support of `state`, ascending, and the masses of its members.
+void ReadSupport(const AffinityState& state, std::vector<VertexId>* members,
+                 std::vector<double>* weights) {
+  members->assign(state.support().begin(), state.support().end());
+  std::sort(members->begin(), members->end());
+  weights->clear();
+  weights->reserve(members->size());
+  for (const VertexId v : *members) weights->push_back(state.x(v));
+}
+
+// The record of the descent `state` just finished, or nullopt when its
+// embedding is not fully described by the refined support (an entry outside
+// it is not +0.0 — never seen, but then a replay could not be bit-exact).
+std::optional<DescentRecord> RecordDescent(const AffinityState& state,
+                                           VertexId seed, double affinity,
+                                           uint64_t cd_iterations) {
+  DescentRecord record;
+  record.seed = seed;
+  record.affinity = affinity;
+  record.cd_iterations = cd_iterations;
+  record.read_set.assign(state.read_set().begin(), state.read_set().end());
+  for (const VertexId v : record.read_set) {
+    if (state.x(v) <= 0.0 && std::bit_cast<uint64_t>(state.x(v)) != 0) {
+      return std::nullopt;
+    }
+  }
+  ReadSupport(state, &record.members, &record.weights);
+  return record;
+}
+
+// One seed's descent into `run`: replayed from `memo` when it holds the seed,
+// else run on `state` (and recorded when a memo is given). Returns the
+// refined affinity; `*clique` receives the refined support (ascending) and
+// its masses when it is non-null.
+double DescendSeed(VertexId seed, const DcsgaOptions& options,
+                   DescentMemo* memo, AffinityState* state, DcsgaResult* run,
+                   uint64_t* replays, CliqueRecord* clique) {
+  const VertexId n = state->NumVertices();
+  const DescentRecord* record = memo != nullptr ? memo->Find(seed) : nullptr;
+  double affinity;
+  if (record != nullptr) {
+    ++*replays;
+    affinity = ReplayDescent(*record, n, run);
+  } else {
+    state->ResetToVertex(seed);
+    const uint64_t cd_before = run->cd_iterations;
+    affinity = DescendInPlace(state, options, run);
+    if (memo != nullptr) {
+      std::optional<DescentRecord> fresh = RecordDescent(
+          *state, seed, affinity, run->cd_iterations - cd_before);
+      if (fresh.has_value()) record = memo->Insert(std::move(*fresh));
+    }
+  }
+  if (clique != nullptr) {
+    clique->affinity = affinity;
+    if (record != nullptr) {
+      clique->members = record->members;
+      clique->weights = record->weights;
+    } else {
+      ReadSupport(*state, &clique->members, &clique->weights);
+    }
+  }
+  return affinity;
+}
+
 // The one seed driver: NewSEA's Algorithm 5 loop and the all-inits loop.
 //
 // `seeds` is walked in contiguous chunks handed out through an atomic
 // cursor, so every shard claims positions in increasing order. Each shard
 // owns an AffinityState; a reset is exact, so each seed's descent is a pure
 // function of (gd_plus, seed, options) and runs bit-identically on any
-// thread. A shard keeps its first strict improvement over the trivial
-// affinity 0; the reduction keeps (max affinity, earliest seed position).
-// One shard runs inline on the calling thread.
+// thread. The answer is the sequential loop's: walking positions in order
+// from the trivial affinity 0, the first strict improvement of the best
+// reached so far wins.
 //
-// With `mu` (Theorem 6: refined(u) ≤ μ_u for every seed u), `seeds` must be
-// in descending μ order and best_lb = max(0, every refined affinity
-// published so far) is monotone, so once a seed is pruned every later
-// position is pruned too and the walk stops there.
+// With `mu`, `seeds` must be in descending μ order, and the sequential loop
+// stops at the first position p with μ_p ≤ best(p), the best affinity of
+// the positions before p (Algorithm 5's early stop). No bound relates a
+// seed's own refined affinity to its μ: Theorem 6 bounds cliques that
+// contain u, and a descent from u may end on a clique without u, above μ_u.
+// The stop is the paper's rule, not a consequence of such a bound, so the
+// driver reproduces that rule exactly rather than relying on one.
 //
-//  * One shard prunes at μ_u ≤ best_lb. There best_lb is exactly the running
-//    best affinity of the sequential loop, so this is Algorithm 5's early
-//    stop and the work counters are those of the textbook loop. Every seed
-//    it skips has refined ≤ μ_u ≤ best, so it cannot strictly improve the
-//    answer.
-//  * More shards prune at μ_u < best_lb (or μ_u ≤ 0), a *strict* test. The
-//    sequential loop can skip a seed whose μ equals the final best F, but
-//    such a seed has refined ≤ μ_u = F and sits after the sequential winner,
-//    so under the reduction it can never displace the winner; while the
-//    strict test descends from every seed with refined == F (μ_u ≥ F ≥
-//    best_lb). So the reduction returns exactly the sequential winner — the
-//    earliest seed reaching the global best affinity, with its bit-identical
-//    embedding. Only the work counters depend on thread timing.
+//  * Pruning. The committed prefix is the longest prefix [0, c) of
+//    positions whose descents have all finished; B_c = max(0, their
+//    affinities). A shard deciding on a position p ≥ c (p is not finished,
+//    so c ≤ p) prunes it when μ_p ≤ B_c. Safe: if the sequential loop
+//    reaches p it reached all of [0, c), so best(p) ≥ B_c ≥ μ_p and it stops
+//    at p; otherwise it stopped before p. Either way no position from p on
+//    is reached (μ only falls), so the walk stops there. With one shard the
+//    committed prefix is every position descended so far and B_c is the
+//    running best, so this is Algorithm 5's loop with its work counters.
+//  * The winner. After the shards finish, the sequential rule walks the
+//    recorded affinities in position order; every position it reaches was
+//    descended (by the pruning argument). More shards may have descended
+//    positions past the sequential stop, whose affinities may exceed the
+//    answer by rounding or by far; they never enter the walk. The winner's
+//    embedding comes from the shard that ran it when that shard kept it as
+//    its own best, and from a replay (or a fresh descent) of the winning
+//    seed otherwise. Only the work counters depend on thread timing.
 //
 // Without `mu` every seed is descended from. Clique collection
 // (options.collect_cliques) dedups per shard, so callers pass one shard; the
 // harvest depends on which seeds ran. Cancellation is polled once per seed;
 // a fired token aborts the whole solve, so no partial result escapes and a
 // cancelled job can be resubmitted for the exact full answer.
+//
+// The descent memo. With a `memo` that Serves `options`, a seed it holds is
+// replayed (DescendSeed) and a descended seed is recorded. A replay is exact
+// when the descent, run again on the memo's current graph, would repeat bit
+// for bit. A descent reads the graph only through the GD+ rows of its read
+// set R (AffinityState::read_set): every other input is its seed and
+// options, and every other value it computes is a function of those rows.
+// The row-read sites of SEACD + Refinement are:
+//  * AffinityState::SetX(v, ·) scatters row v into dx. Every SetX call sets
+//    a vertex already in the support (x_v > 0) or brings it into the
+//    support, so v ∈ R; a call that leaves x_v unchanged reads nothing.
+//  * ComputeExpansionSet reads the rows of the support (⊆ R) and the dx
+//    entries of their neighbors.
+//  * SeaExpand's ω loop reads the row of every i in the expansion set Z.
+//    Each such i then enters the support, or already held mass, or gets
+//    x_i + τγ_i == 0 and is passed to AffinityState::NoteRowRead; so i ∈ R
+//    even when it never enters the support.
+//  * AffinityState::Renormalize rescales dx over the rows of the support.
+//  * FindNonAdjacentPair (Refinement) reads the rows of the support.
+//  * DescendToLocalKkt's EdgeWeight(i, j) reads row i, where i is in the
+//    allowed set, a snapshot of the support (⊆ R).
+//  * AffinityState::ResetToVertex reads the previous run's rows only to
+//    write zeros, which no later value depends on.
+// The remaining reads are x, dx and the support, which these rows
+// determine. A streaming patch (MinerSession::PatchPipeline) splices GD+
+// with CsrPatcher, which rewrites the rows of the patched pairs' endpoints
+// and copies every other row verbatim; a pair whose GD+ weight is unchanged
+// is re-assigned that same weight, so the only rows whose content changes
+// are those of the endpoints of `positive_changes`. DescentMemo::CarriedOver
+// drops every record whose R contains such an endpoint, so each kept record
+// is the descent the patched graph would run. The driver itself (seed order,
+// μ, the isolated-vertex filter) is recomputed on every solve and never read
+// from the memo.
 Result<DcsgaResult> DriveSeeds(const Graph& gd_plus,
                                std::span<const VertexId> seeds,
                                const std::vector<double>* mu,
                                const DcsgaOptions& options, size_t shards,
-                               ThreadPool* pool) {
+                               ThreadPool* pool, DescentMemo* memo) {
+  if (memo != nullptr && !memo->Serves(gd_plus.NumVertices(), options)) {
+    memo = nullptr;
+  }
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
   struct Shard {
     DcsgaResult run;  // counters, the shard's best and its cliques
-    size_t best_pos = std::numeric_limits<size_t>::max();
+    size_t best_pos = kNone;
+    uint64_t replays = 0;
   };
   // Small chunks win here: a descent costs microseconds against a ~20ns
   // cursor bump, and the pruning overshoot — seeds claimed before the first
-  // strong affinity is published — is bounded by shards × chunk.
+  // strong affinity is committed — is bounded by shards × chunk.
   constexpr size_t kChunkSize = 4;
   std::atomic<size_t> cursor{0};
-  std::atomic<double> best_lb{0.0};  // affinity of the trivial solution
   std::atomic<bool> exhausted{false};
   const CancelToken* cancel = options.cancel;
+
+  // The committed prefix (see above): affinity_at[p] and descended[p] are
+  // written under commit_mutex, which also advances the frontier c and
+  // publishes B_c.
+  std::mutex commit_mutex;
+  std::vector<double> affinity_at(seeds.size(), 0.0);
+  std::vector<char> descended(seeds.size(), 0);
+  size_t frontier = 0;
+  std::atomic<double> committed_best{0.0};  // B_c; the trivial affinity is 0
 
   std::vector<Shard> locals(shards);
   auto run_shard = [&](size_t shard) {
     Shard& local = locals[shard];
     AffinityState state(gd_plus);
     std::unordered_set<uint64_t> seen_cliques;
+    CliqueRecord clique;
     while (!exhausted.load(std::memory_order_relaxed)) {
       const size_t begin = cursor.fetch_add(kChunkSize);
       if (begin >= seeds.size()) break;
@@ -124,31 +256,30 @@ Result<DcsgaResult> DriveSeeds(const Graph& gd_plus,
           exhausted.store(true, std::memory_order_relaxed);
           break;
         }
-        if (mu != nullptr) {
-          const double bound = best_lb.load(std::memory_order_relaxed);
-          const double mu_u = (*mu)[seed];
-          if (shards == 1 ? mu_u <= bound : mu_u <= 0.0 || mu_u < bound) {
-            exhausted.store(true, std::memory_order_relaxed);
-            break;
-          }
+        if (mu != nullptr &&
+            (*mu)[seed] <= committed_best.load(std::memory_order_relaxed)) {
+          exhausted.store(true, std::memory_order_relaxed);
+          break;
         }
-        state.ResetToVertex(seed);
         const double before = local.run.affinity;
-        const double affinity = DescendInPlace(&state, options, &local.run);
+        const double affinity =
+            DescendSeed(seed, options, memo, &state, &local.run,
+                        &local.replays,
+                        options.collect_cliques ? &clique : nullptr);
         if (affinity > before) local.best_pos = pos;
-        FetchMax(&best_lb, affinity);
-        if (options.collect_cliques) {
-          std::vector<VertexId> members(state.support().begin(),
-                                        state.support().end());
-          std::sort(members.begin(), members.end());
-          if (seen_cliques.insert(HashMembers(members)).second) {
-            CliqueRecord record;
-            record.weights.reserve(members.size());
-            for (VertexId v : members) record.weights.push_back(state.x(v));
-            record.members = std::move(members);
-            record.affinity = affinity;
-            local.run.cliques.push_back(std::move(record));
+        {
+          std::lock_guard<std::mutex> lock(commit_mutex);
+          affinity_at[pos] = affinity;
+          descended[pos] = 1;
+          double best = committed_best.load(std::memory_order_relaxed);
+          for (; frontier < seeds.size() && descended[frontier]; ++frontier) {
+            best = std::max(best, affinity_at[frontier]);
           }
+          committed_best.store(best, std::memory_order_relaxed);
+        }
+        if (options.collect_cliques &&
+            seen_cliques.insert(HashMembers(clique.members)).second) {
+          local.run.cliques.push_back(clique);
         }
       }
     }
@@ -166,26 +297,45 @@ Result<DcsgaResult> DriveSeeds(const Graph& gd_plus,
   }
 
   DcsgaResult result = TrivialResult(gd_plus);
-  Shard* winner = nullptr;
+  uint64_t replays = 0;
   for (Shard& local : locals) {
     result.initializations += local.run.initializations;
     result.cd_iterations += local.run.cd_iterations;
     result.replicator_sweeps += local.run.replicator_sweeps;
     result.expansion_errors += local.run.expansion_errors;
+    replays += local.replays;
     std::move(local.run.cliques.begin(), local.run.cliques.end(),
               std::back_inserter(result.cliques));
-    if (local.best_pos == std::numeric_limits<size_t>::max()) continue;
-    if (winner == nullptr || local.run.affinity > winner->run.affinity ||
-        (local.run.affinity == winner->run.affinity &&
-         local.best_pos < winner->best_pos)) {
-      winner = &local;
+  }
+  // The sequential rule over the recorded affinities.
+  double best = 0.0;
+  size_t winner = kNone;
+  for (size_t pos = 0; pos < seeds.size(); ++pos) {
+    if (mu != nullptr && (*mu)[seeds[pos]] <= best) break;
+    DCS_CHECK(descended[pos]) << "seed position " << pos
+                              << " was pruned before the sequential stop";
+    if (affinity_at[pos] > best) {
+      best = affinity_at[pos];
+      winner = pos;
     }
   }
-  if (winner != nullptr) {
-    result.affinity = winner->run.affinity;
-    result.x = std::move(winner->run.x);
-    result.support = std::move(winner->run.support);
+  if (winner != kNone) {
+    Shard* owner = nullptr;
+    for (Shard& local : locals) {
+      if (local.best_pos == winner) owner = &local;
+    }
+    DcsgaResult rerun;
+    if (owner == nullptr) {
+      AffinityState state(gd_plus);
+      DescendSeed(seeds[winner], options, memo, &state, &rerun, &replays,
+                  /*clique=*/nullptr);
+    }
+    DcsgaResult& source = owner != nullptr ? owner->run : rerun;
+    result.affinity = best;
+    result.x = std::move(source.x);
+    result.support = std::move(source.support);
   }
+  if (memo != nullptr) memo->CountReplays(replays);
   // Every vertex that is not a descended seed was pruned: by the bound, or
   // (all-inits) as an isolated vertex left out of `seeds`.
   result.pruned_seeds = gd_plus.NumVertices() - result.initializations;
@@ -436,6 +586,13 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
 Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
                               const SmartInitBounds& bounds,
                               const DcsgaOptions& options, ThreadPool* pool) {
+  return RunNewSea(gd_plus, bounds, options, pool, /*memo=*/nullptr);
+}
+
+Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
+                              const SmartInitBounds& bounds,
+                              const DcsgaOptions& options, ThreadPool* pool,
+                              DescentMemo* memo) {
   if (!options.assume_nonnegative) {
     DCS_RETURN_NOT_OK(ValidateNonNegativeWeights(gd_plus));
   }
@@ -451,11 +608,18 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
   const size_t shards = options.collect_cliques
                             ? 1
                             : ResolveShards(options.parallelism, pool);
-  return DriveSeeds(gd_plus, bounds.order, &bounds.mu, inner, shards, pool);
+  return DriveSeeds(gd_plus, bounds.order, &bounds.mu, inner, shards, pool,
+                    memo);
 }
 
 Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
                                      const DcsgaOptions& options) {
+  return RunDcsgaAllInits(gd_plus, options, /*memo=*/nullptr);
+}
+
+Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
+                                     const DcsgaOptions& options,
+                                     DescentMemo* memo) {
   if (!options.assume_nonnegative) {
     DCS_RETURN_NOT_OK(ValidateNonNegativeWeights(gd_plus));
   }
@@ -469,7 +633,7 @@ Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
     if (gd_plus.Degree(u) != 0) seeds.push_back(u);
   }
   return DriveSeeds(gd_plus, seeds, /*mu=*/nullptr, options, /*shards=*/1,
-                    /*pool=*/nullptr);
+                    /*pool=*/nullptr, memo);
 }
 
 std::vector<CliqueRecord> FilterMaximalCliques(std::vector<CliqueRecord> in) {

@@ -40,7 +40,8 @@
 
 namespace dcs {
 
-class ThreadPool;  // util/thread_pool.h
+class DescentMemo;  // core/descent_memo.h
+class ThreadPool;   // util/thread_pool.h
 
 /// Which Shrink stage the multi-init driver uses.
 enum class ShrinkKind {
@@ -189,13 +190,13 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
 /// \brief RunNewSea with intra-request parallelism: the μ-ordered seed list
 /// is sharded in chunks across `options.parallelism` workers on `pool`.
 ///
-/// Each shard owns its AffinityState; a shared atomic lower bound on the
-/// best affinity seen so far drives Theorem 6 pruning (at more than one
-/// shard a strict comparison, so every seed that could still win is
-/// descended from); the reduction keeps (max affinity, earliest μ-order
-/// seed). Affinity, support and embedding
-/// are therefore bit-identical to the sequential loop for every thread
-/// count — only the work counters vary with timing.
+/// Each shard owns its AffinityState. A seed is pruned only against the
+/// best affinity of the committed μ-order prefix (every position before it
+/// descended), so every seed the sequential loop reaches is descended from;
+/// the winner is then chosen by walking the positions in order with the
+/// sequential rule. Affinity, support and embedding are therefore
+/// bit-identical to the sequential loop for every thread count — only the
+/// work counters vary with timing.
 ///
 /// `pool` may be null: a transient pool of parallelism − 1 workers is
 /// spawned for the call (the calling thread participates). A session that
@@ -204,12 +205,28 @@ Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
                               const SmartInitBounds& bounds,
                               const DcsgaOptions& options, ThreadPool* pool);
 
+/// \brief RunNewSea that replays the seeds `memo` holds and records the
+/// ones it descends (core/descent_memo.h). `memo` must belong to this
+/// `gd_plus`; null, or a memo bound to other descent options, runs every
+/// descent. The result is bit-identical to the memo-less call, counters
+/// included.
+Result<DcsgaResult> RunNewSea(const Graph& gd_plus,
+                              const SmartInitBounds& bounds,
+                              const DcsgaOptions& options, ThreadPool* pool,
+                              DescentMemo* memo);
+
 /// \brief The SEACD+Refine / SEA+Refine baselines: one initialization per
 /// non-isolated vertex of `gd_plus`, in id order, no bound (isolated
 /// vertices count as pruned_seeds). Selects Shrink by `options.shrink`; runs
 /// one shard whatever `options.parallelism` says.
 Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
                                      const DcsgaOptions& options = {});
+
+/// \brief RunDcsgaAllInits through a descent memo, as the memo overload of
+/// RunNewSea; a replicator Shrink bypasses the memo.
+Result<DcsgaResult> RunDcsgaAllInits(const Graph& gd_plus,
+                                     const DcsgaOptions& options,
+                                     DescentMemo* memo);
 
 /// \brief Drops exact duplicates and cliques fully contained in another
 /// collected clique (the paper's post-processing for the topic tables and

@@ -58,10 +58,15 @@ Result<std::vector<RankedDcsad>> MineTopKDcsad(
 
 Result<std::vector<CliqueRecord>> MineTopKDcsga(
     const Graph& gd_plus, const TopkDcsgaOptions& options) {
+  return MineTopKDcsga(gd_plus, options, /*memo=*/nullptr);
+}
+
+Result<std::vector<CliqueRecord>> MineTopKDcsga(
+    const Graph& gd_plus, const TopkDcsgaOptions& options, DescentMemo* memo) {
   DcsgaOptions solver = options.solver;
   solver.collect_cliques = true;
   DCS_ASSIGN_OR_RETURN(DcsgaResult harvest,
-                       RunDcsgaAllInits(gd_plus, solver));
+                       RunDcsgaAllInits(gd_plus, solver, memo));
   std::vector<CliqueRecord> cliques =
       FilterMaximalCliques(std::move(harvest.cliques));
   std::sort(cliques.begin(), cliques.end(),

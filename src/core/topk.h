@@ -62,6 +62,12 @@ struct TopkDcsgaOptions {
 Result<std::vector<CliqueRecord>> MineTopKDcsga(
     const Graph& gd_plus, const TopkDcsgaOptions& options = {});
 
+/// \brief MineTopKDcsga whose harvest replays and records seed descents
+/// through `memo` (see RunDcsgaAllInits); bit-identical to the memo-less
+/// call.
+Result<std::vector<CliqueRecord>> MineTopKDcsga(
+    const Graph& gd_plus, const TopkDcsgaOptions& options, DescentMemo* memo);
+
 }  // namespace dcs
 
 #endif  // DCS_CORE_TOPK_H_

@@ -197,6 +197,15 @@ TEST(PipelineCacheTest, ApplyUpdateInvalidatesOnlyTheTouchedEntry) {
   EXPECT_TRUE(b_after->telemetry.reused_cached_difference);
   EXPECT_EQ(SerializeSubgraphs(*b_after), SerializeSubgraphs(*b_before));
   EXPECT_EQ(b->num_rebuilds(), 0u);
+
+  // Once B applies the same update, no session holds the old content: its
+  // entry goes, and B's republish lands on A's key.
+  ASSERT_TRUE(b->ApplyUpdate(UpdateSide::kG2, 0, 1, 2.5).ok());
+  Result<MiningResponse> b_updated = b->Mine(request);
+  ASSERT_TRUE(b_updated.ok());
+  EXPECT_EQ(SerializeSubgraphs(*b_updated), SerializeSubgraphs(*a_after));
+  EXPECT_EQ(cache->stats().entries, 1u);
+  EXPECT_EQ(b->num_rebuilds(), 0u);
 }
 
 TEST(PipelineCacheTest, EvictionUnderTinyByteBudgetNeverBreaksSolves) {
@@ -585,6 +594,51 @@ TEST(ResponseMemoTest, OversizedResponseIsEvictedAndTheCallerKeepsIt) {
   EXPECT_EQ(stats.evictions, 2u);
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_EQ(stats.response_hits, 0u);
+}
+
+TEST(PipelineCacheTest, DescentMemoBytesCountTowardTheBudgetAsTheyGrow) {
+  PipelineCacheKey key;
+  key.graph_fingerprint = 44;
+  auto pipeline = std::make_shared<PreparedPipeline>();
+  pipeline->difference = Fig1Gd();
+  pipeline->positive_part = pipeline->difference.PositivePart();
+  pipeline->smart_bounds = ComputeSmartInitBounds(pipeline->positive_part);
+  pipeline->has_ga_artifacts = true;
+  pipeline->descent_memo = std::make_shared<DescentMemo>();
+  const size_t artifact_bytes = pipeline->ArtifactBytes();
+
+  // The artifacts alone fit the budget; artifacts plus a filled memo do not.
+  PipelineCacheOptions options;
+  options.max_bytes = artifact_bytes;
+  PipelineCache cache(options);
+  cache.Publish(key, pipeline);
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().bytes, artifact_bytes);
+
+  // A solve on the resident snapshot fills its memo; the cache reads it
+  // live.
+  ASSERT_TRUE(RunDcsgaAllInits(pipeline->positive_part, {},
+                               pipeline->descent_memo.get())
+                  .ok());
+  const size_t memo_bytes = pipeline->descent_memo->ApproxBytes();
+  ASSERT_GT(memo_bytes, 0u);
+  EXPECT_EQ(pipeline->ApproxBytes(), artifact_bytes + memo_bytes);
+  EXPECT_EQ(cache.stats().bytes, artifact_bytes + memo_bytes);
+
+  // The next hit enforces the budget: the entry goes, the hit's snapshot
+  // stays valid.
+  bool reused = false;
+  Result<PipelineCache::Snapshot> hit = cache.GetOrPrepare(
+      key, /*need_ga=*/true,
+      [](const PreparedPipeline*) -> Result<PreparedPipeline> {
+        return Status::Internal("a resident entry must not be rebuilt");
+      },
+      &reused);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  EXPECT_EQ(hit->get(), pipeline.get());
+  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().bytes, 0u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(ResponseMemoTest, MemoLivesExactlyAsLongAsItsSnapshot) {

@@ -27,12 +27,15 @@
 namespace dcs {
 namespace {
 
+using ::dcs::testing::SerializeDeterministic;
 using ::dcs::testing::SerializeSubgraphs;
 
 // The request mix every equivalence round mines: both measures, plus each
-// pipeline transform (alpha scaling, flip, discretize, clamp).
+// pipeline transform (alpha scaling, flip, discretize, clamp), plus two
+// top-k harvests, which descend from every seed and so replay the most from
+// the carried descent memo.
 std::vector<MiningRequest> EquivalenceRequests() {
-  std::vector<MiningRequest> requests(5);
+  std::vector<MiningRequest> requests(7);
   requests[0].measure = Measure::kBoth;
   requests[1].measure = Measure::kBoth;
   requests[1].alpha = 2.0;
@@ -42,6 +45,12 @@ std::vector<MiningRequest> EquivalenceRequests() {
   requests[3].discretize = DiscretizeSpec{};
   requests[4].measure = Measure::kBoth;
   requests[4].clamp_weights_above = 1.5;
+  requests[5].measure = Measure::kBoth;
+  requests[5].top_k = 3;
+  requests[6].measure = Measure::kGraphAffinity;
+  requests[6].flip = true;
+  requests[6].top_k = 2;
+  requests[6].disjoint = false;
   return requests;
 }
 
@@ -180,6 +189,7 @@ void RunEquivalenceStream(uint64_t seed, int rounds, int batch_size,
 
   const std::vector<MiningRequest> requests = EquivalenceRequests();
   Graph previous_gd(n);
+  uint64_t replays = 0;
   for (int round = 0; round <= rounds; ++round) {
     if (round > 0) {
       // A small batch: inserts, deletes-to-zero, and sign flips, both sides.
@@ -235,17 +245,30 @@ void RunEquivalenceStream(uint64_t seed, int rounds, int batch_size,
         previous_gd = *control_gd;
       }
 
+      // Counters included: the streamed session replays carried descents,
+      // the control descends every seed afresh.
       Result<MiningResponse> streamed = session->Mine(requests[r]);
       Result<MiningResponse> expected = control->Mine(requests[r]);
       ASSERT_TRUE(streamed.ok() && expected.ok()) << label;
-      EXPECT_EQ(SerializeSubgraphs(*streamed), SerializeSubgraphs(*expected))
+      EXPECT_EQ(SerializeDeterministic(*streamed),
+                SerializeDeterministic(*expected))
           << label;
     }
+    const uint64_t fingerprint = PipelineGraphFingerprint(fresh_g1, fresh_g2);
     ExpectCachedPipelinesBitIdentical(
-        *session->pipeline_cache(), *control->pipeline_cache(),
-        PipelineGraphFingerprint(fresh_g1, fresh_g2),
+        *session->pipeline_cache(), *control->pipeline_cache(), fingerprint,
         "seed " + std::to_string(seed) + " round " + std::to_string(round));
+    if (round > 0) {
+      for (const auto& [key, pipeline] :
+           session->pipeline_cache()->SnapshotsFor(fingerprint)) {
+        if (pipeline->descent_memo != nullptr) {
+          replays += pipeline->descent_memo->replays();
+        }
+      }
+    }
   }
+  // The memo rounds above compared replays, not only fresh descents.
+  EXPECT_GT(replays, 0u) << "seed " << seed;
 
   if (check_fingerprint_via_shared_cache) {
     // The incrementally maintained fingerprint must equal the from-scratch
@@ -305,6 +328,72 @@ TEST(StreamingUpdateEquivalenceTest, PatchPathIsActuallyTaken) {
   EXPECT_EQ(session->num_update_patches(), 2u);
   EXPECT_GE(session->num_republished_entries(), 1u);
   EXPECT_TRUE(patched->telemetry.reused_cached_difference);
+}
+
+TEST(StreamingUpdateEquivalenceTest, PatchedPipelineReplaysUntouchedSeeds) {
+  // Two G2 updates on one GD+ edge. The first patch gives the pipeline its
+  // (empty) descent memo, which the harvest after it fills. The second
+  // carries the records over: the harvest after it replays the seeds whose
+  // descents never read the endpoints' rows and descends the rest — and
+  // answers, counters included, as a from-scratch session does.
+  Rng rng(8080);
+  const VertexId n = 90;
+  EdgeLedger g1, g2;
+  for (int i = 0; i < 400; ++i) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+    VertexId v = static_cast<VertexId>(rng.NextBounded(n - 1));
+    if (v >= u) ++v;
+    (rng.Bernoulli(0.4) ? g1 : g2).Apply(u, v, rng.Uniform(0.25, 3.0));
+  }
+  Result<MinerSession> session = MinerSession::Create(g1.Build(n), g2.Build(n));
+  ASSERT_TRUE(session.ok());
+  MiningRequest request;
+  request.measure = Measure::kGraphAffinity;
+  request.top_k = 3;
+  ASSERT_TRUE(session->Mine(request).ok());
+
+  // Strengthen the heaviest GD+ edge, in two steps.
+  Result<Graph> gd = session->DifferenceSnapshot();
+  ASSERT_TRUE(gd.ok());
+  const std::vector<Edge> edges = gd->UndirectedEdges();
+  const Edge* target = nullptr;
+  for (const Edge& e : edges) {
+    if (e.weight > 0.0 && (target == nullptr || e.weight > target->weight)) {
+      target = &e;
+    }
+  }
+  ASSERT_NE(target, nullptr);
+  ASSERT_TRUE(
+      session->ApplyUpdate(UpdateSide::kG2, target->u, target->v, 0.25).ok());
+  g2.Apply(target->u, target->v, 0.25);
+  ASSERT_TRUE(session->Mine(request).ok());
+  ASSERT_TRUE(
+      session->ApplyUpdate(UpdateSide::kG2, target->u, target->v, 0.25).ok());
+  g2.Apply(target->u, target->v, 0.25);
+
+  Result<MiningResponse> streamed = session->Mine(request);
+  ASSERT_TRUE(streamed.ok());
+  EXPECT_FALSE(streamed->telemetry.response_memo_hit);
+  const Graph fresh_g1 = g1.Build(n);
+  const Graph fresh_g2 = g2.Build(n);
+  Result<MinerSession> control = MinerSession::Create(fresh_g1, fresh_g2);
+  ASSERT_TRUE(control.ok());
+  ASSERT_TRUE(control->DifferenceSnapshot(request).ok());  // cache it too
+  Result<MiningResponse> expected = control->Mine(request);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(SerializeDeterministic(*streamed),
+            SerializeDeterministic(*expected));
+
+  const auto pipelines = session->pipeline_cache()->SnapshotsFor(
+      PipelineGraphFingerprint(fresh_g1, fresh_g2));
+  ASSERT_EQ(pipelines.size(), 1u);
+  ASSERT_NE(pipelines.front().second->descent_memo, nullptr);
+  const DescentMemo& memo = *pipelines.front().second->descent_memo;
+  // Every harvested seed was replayed or descended and recorded, so the
+  // records outnumber the replays exactly when some seed was descended.
+  EXPECT_GT(memo.replays(), 0u);
+  EXPECT_GT(memo.size(), memo.replays())
+      << "the strengthened edge's endpoints must force some descents";
 }
 
 TEST(StreamingUpdateEquivalenceTest, NetZeroBatchKeepsCachedPipelines) {

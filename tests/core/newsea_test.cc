@@ -5,8 +5,12 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <memory>
 #include <numeric>
+#include <set>
 #include <string>
+
+#include "core/descent_memo.h"
 
 #include "oracles/exact.h"
 #include "oracles/naive_newsea.h"
@@ -63,6 +67,31 @@ TEST_P(Theorem6Test, MuUpperBoundsOptimalCliqueAffinity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem6Test,
                          ::testing::Values(61, 62, 63, 64, 65, 66, 67, 68));
+
+TEST(NewSeaTest, SeedDescentCanEndAboveItsOwnMuOnACliqueWithoutIt) {
+  // Theorem 6 bounds cliques that contain u, not where a descent from u
+  // ends: seed 31 of this graph descends to a 2-clique without vertex 31
+  // whose affinity is more than twice μ_31. So no seed driver may assume
+  // refined(u) ≤ μ_u, and a per-seed skip at μ_u ≤ f(best) is no proof.
+  Rng rng(131);
+  Result<Graph> gd = RandomSignedGraph(/*n=*/60, /*m=*/150,
+                                       /*positive_fraction=*/0.6,
+                                       /*magnitude_lo=*/0.5,
+                                       /*magnitude_hi=*/4.0, &rng);
+  ASSERT_TRUE(gd.ok());
+  const Graph gd_plus = gd->PositivePart();
+  const SmartInitBounds bounds = ComputeSmartInitBounds(gd_plus);
+  constexpr VertexId kSeed = 31;
+  AffinityState state(gd_plus);
+  state.ResetToVertex(kSeed);
+  DcsgaResult run;
+  const double refined = DescendInPlace(&state, DcsgaOptions{}, &run);
+  const std::vector<VertexId> support = run.x.Support();
+  EXPECT_EQ(support.size(), 2u);
+  EXPECT_EQ(std::count(support.begin(), support.end(), kSeed), 0);
+  EXPECT_GT(refined, 2.0 * bounds.mu[kSeed]);
+  EXPECT_TRUE(IsPositiveClique(gd_plus, support));
+}
 
 TEST(NewSeaTest, RejectsNegativeWeightsAndEmptyGraphs) {
   Graph g = MakeGraph(2, {{0, 1, -1.0}});
@@ -333,6 +362,63 @@ TEST(SmartInitBoundsDeltaTest, RandomizedBatchesMatchFullRecompute) {
   }
 }
 
+TEST(SmartInitBoundsDeltaTest, LargeStructuralBatchTakesTheCoreFallback) {
+  // Past 32 structural GD+ changes the delta path re-runs CoreNumbers
+  // instead of the per-edge traversals. This batch closes a 12-clique (≥ 40
+  // inserts) and removes a few edges elsewhere, so τ moves and the fallback
+  // must hand back the fresh core numbers, not the stale ones.
+  Rng rng(4747);
+  const VertexId n = 70;
+  Result<Graph> start = ErdosRenyiWeighted(n, 0.06, 0.1, 3.0, &rng);
+  ASSERT_TRUE(start.ok());
+  const Graph old_gd_plus = *start;
+  SmartInitBounds bounds = ComputeSmartInitBounds(old_gd_plus);
+
+  std::map<uint64_t, double> assignments;
+  for (VertexId u = 0; u < 12; ++u) {
+    for (VertexId v = u + 1; v < 12; ++v) {
+      if (old_gd_plus.EdgeWeight(u, v) == 0.0) {
+        assignments[PackVertexPair(u, v)] = rng.Uniform(0.1, 3.0);
+      }
+    }
+  }
+  size_t inserts = assignments.size();
+  size_t removals = 0;
+  for (const Edge& e : old_gd_plus.UndirectedEdges()) {
+    if (e.u >= 40 && removals < 6) {
+      assignments[PackVertexPair(e.u, e.v)] = 0.0;
+      ++removals;
+    }
+  }
+  ASSERT_GT(inserts + removals, 32u);
+  std::vector<PositivePairDelta> changes;
+  std::vector<EdgePatch> patches;
+  for (const auto& [key, weight] : assignments) {
+    const VertexPair pair = UnpackVertexPair(key);
+    changes.push_back(PositivePairDelta{
+        pair.u, pair.v, old_gd_plus.EdgeWeight(pair.u, pair.v), weight});
+    patches.push_back(EdgePatch{pair.u, pair.v, weight});
+  }
+  const Graph new_gd_plus =
+      CsrPatcher::Apply(old_gd_plus, patches, /*zero_eps=*/0.0);
+  ApplySmartInitBoundsDelta(old_gd_plus, new_gd_plus, changes, &bounds);
+  const SmartInitBounds expected = ComputeSmartInitBounds(new_gd_plus);
+  ASSERT_NE(expected.tau, ComputeSmartInitBounds(old_gd_plus).tau);
+  EXPECT_EQ(bounds.tau, expected.tau);
+  EXPECT_EQ(bounds.order, expected.order);
+  for (VertexId x = 0; x < n; ++x) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(bounds.mu[x]),
+              std::bit_cast<uint64_t>(expected.mu[x]))
+        << "mu[" << x << "]";
+    EXPECT_EQ(std::bit_cast<uint64_t>(bounds.w[x]),
+              std::bit_cast<uint64_t>(expected.w[x]))
+        << "w[" << x << "]";
+    EXPECT_EQ(std::bit_cast<uint64_t>(bounds.max_incident[x]),
+              std::bit_cast<uint64_t>(expected.max_incident[x]))
+        << "max_incident[" << x << "]";
+  }
+}
+
 TEST(SmartInitBoundsDeltaTest, EmptyChangeListIsANoOp) {
   const Graph gd_plus =
       ::dcs::testing::MakeGraph(4, {{0, 1, 2.0}, {1, 2, 1.0}});
@@ -441,6 +527,220 @@ TEST(SeedDriverOracleTest, MatchesNaiveLoopsOnGeneratorGraph) {
 TEST(SeedDriverOracleTest, MatchesNaiveLoopsOnFig1Pair) {
   ExpectDriverMatchesNaiveLoops(::dcs::testing::Fig1Gd().PositivePart(),
                                 "Fig. 1");
+}
+
+// --- the descent memo -------------------------------------------------------
+
+Graph MemoTestGraph(uint64_t seed) {
+  Rng rng(seed);
+  Result<Graph> gd = RandomSignedGraph(/*n=*/120, /*m=*/600,
+                                       /*positive_fraction=*/0.6,
+                                       /*magnitude_lo=*/0.5,
+                                       /*magnitude_hi=*/3.0, &rng);
+  DCS_CHECK(gd.ok());
+  return gd->PositivePart();
+}
+
+// A memo-carrying NewSEA and harvest equal the memo-less runs bit for bit,
+// counters and clique records included, on the filling pass and on the
+// replaying one.
+void ExpectMemoRunsMatch(const Graph& gd_plus, DescentMemo* memo,
+                         const std::string& label) {
+  const SmartInitBounds bounds = ComputeSmartInitBounds(gd_plus);
+  DcsgaOptions harvest;
+  harvest.collect_cliques = true;
+  Result<DcsgaResult> newsea = RunNewSea(gd_plus, bounds, {}, nullptr, memo);
+  Result<DcsgaResult> all = RunDcsgaAllInits(gd_plus, harvest, memo);
+  ASSERT_TRUE(newsea.ok() && all.ok()) << label;
+  ExpectSameRun(*newsea, *RunNewSea(gd_plus, bounds), label + " NewSEA");
+  ExpectSameRun(*all, *RunDcsgaAllInits(gd_plus, harvest),
+                label + " all-inits");
+  for (const uint32_t threads : {2u, 4u}) {
+    DcsgaOptions sharded;
+    sharded.parallelism = threads;
+    Result<DcsgaResult> run =
+        RunNewSea(gd_plus, bounds, sharded, nullptr, memo);
+    ASSERT_TRUE(run.ok()) << label;
+    EXPECT_EQ(std::bit_cast<uint64_t>(run->affinity),
+              std::bit_cast<uint64_t>(newsea->affinity))
+        << label << " " << threads << " shards";
+    EXPECT_EQ(run->x.x, newsea->x.x) << label << " " << threads << " shards";
+  }
+}
+
+TEST(DescentMemoTest, ReplaysAreBitIdenticalToFreshDescents) {
+  for (const uint64_t seed : {5u, 23u}) {
+    const Graph gd_plus = MemoTestGraph(seed);
+    DescentMemo memo;
+    const std::string label = "graph " + std::to_string(seed);
+    ExpectMemoRunsMatch(gd_plus, &memo, label + " filling");
+    const uint64_t filled_replays = memo.replays();
+    const size_t records = memo.size();
+    EXPECT_GT(records, 0u);
+    ExpectMemoRunsMatch(gd_plus, &memo, label + " replaying");
+    // The second pass descends nothing: every seed it reaches is recorded.
+    EXPECT_EQ(memo.size(), records) << label;
+    EXPECT_GT(memo.replays(), filled_replays) << label;
+    const uint64_t before = memo.replays();
+    Result<DcsgaResult> all = RunDcsgaAllInits(gd_plus, {}, &memo);
+    ASSERT_TRUE(all.ok());
+    EXPECT_EQ(memo.replays() - before, all->initializations) << label;
+  }
+}
+
+TEST(DescentMemoTest, OtherDescentOptionsBypassTheMemo) {
+  const Graph gd_plus = MemoTestGraph(5);
+  DescentMemo memo;
+  ASSERT_TRUE(RunDcsgaAllInits(gd_plus, {}, &memo).ok());
+  const size_t records = memo.size();
+  const uint64_t replays = memo.replays();
+
+  DcsgaOptions looser;
+  looser.seacd.descent.epsilon_scale = 5e-2;
+  DcsgaOptions replicator;
+  replicator.shrink = ShrinkKind::kReplicator;
+  for (const DcsgaOptions& options : {looser, replicator}) {
+    Result<DcsgaResult> bypassed = RunDcsgaAllInits(gd_plus, options, &memo);
+    ASSERT_TRUE(bypassed.ok());
+    ExpectSameRun(*bypassed, *RunDcsgaAllInits(gd_plus, options), "bypass");
+  }
+  EXPECT_EQ(memo.size(), records);
+  EXPECT_EQ(memo.replays(), replays);
+  EXPECT_FALSE(memo.Serves(gd_plus.NumVertices(), looser));
+  EXPECT_FALSE(memo.Serves(gd_plus.NumVertices() + 1, DcsgaOptions{}));
+  EXPECT_TRUE(memo.Serves(gd_plus.NumVertices(), DcsgaOptions{}));
+}
+
+// Applies `patches` to `gd_plus` and returns the patched graph with the
+// endpoints of the pairs whose weight changed.
+Graph PatchWithEndpoints(const Graph& gd_plus,
+                         const std::vector<EdgePatch>& patches,
+                         std::vector<VertexId>* endpoints) {
+  for (const EdgePatch& patch : patches) {
+    if (gd_plus.EdgeWeight(patch.u, patch.v) != patch.weight) {
+      endpoints->push_back(patch.u);
+      endpoints->push_back(patch.v);
+    }
+  }
+  std::vector<EdgePatch> sorted = patches;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const EdgePatch& a, const EdgePatch& b) {
+              return PackVertexPair(a.u, a.v) < PackVertexPair(b.u, b.v);
+            });
+  return CsrPatcher::Apply(gd_plus, sorted, /*zero_eps=*/0.0);
+}
+
+TEST(DescentMemoTest, CarriedRecordsEqualFreshDescentsAfterAPatch) {
+  Rng rng(77);
+  Graph gd_plus = MemoTestGraph(23);
+  const VertexId n = gd_plus.NumVertices();
+  auto memo = std::make_shared<DescentMemo>();
+  ASSERT_TRUE(RunDcsgaAllInits(gd_plus, {}, memo.get()).ok());
+  size_t dropped = 0;
+  for (int batch = 0; batch < 6; ++batch) {
+    std::vector<EdgePatch> patches;
+    std::set<uint64_t> pairs;
+    while (patches.size() < 4) {
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+      VertexId v = static_cast<VertexId>(rng.NextBounded(n - 1));
+      if (v >= u) ++v;
+      if (!pairs.insert(PackVertexPair(u, v)).second) continue;
+      const double weight =
+          rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(0.5, 3.0);
+      patches.push_back(EdgePatch{std::min(u, v), std::max(u, v), weight});
+    }
+    std::vector<VertexId> endpoints;
+    const Graph patched = PatchWithEndpoints(gd_plus, patches, &endpoints);
+    std::shared_ptr<DescentMemo> carried = memo->CarriedOver(endpoints);
+    ASSERT_TRUE(carried->Serves(n, DcsgaOptions{}));
+    ASSERT_LE(carried->size(), memo->size());
+    dropped += memo->size() - carried->size();
+    // Every kept record is the descent the patched graph runs.
+    AffinityState state(patched);
+    size_t kept = 0;
+    for (VertexId seed = 0; seed < n; ++seed) {
+      const DescentRecord* record = carried->Find(seed);
+      if (record == nullptr) continue;
+      ++kept;
+      state.ResetToVertex(seed);
+      DcsgaResult run;
+      const double affinity = DescendInPlace(&state, DcsgaOptions{}, &run);
+      const std::string label = "batch " + std::to_string(batch) +
+                                " seed " + std::to_string(seed);
+      EXPECT_EQ(std::bit_cast<uint64_t>(record->affinity),
+                std::bit_cast<uint64_t>(affinity))
+          << label;
+      EXPECT_EQ(record->cd_iterations, run.cd_iterations) << label;
+      std::vector<VertexId> support(state.support().begin(),
+                                    state.support().end());
+      std::sort(support.begin(), support.end());
+      EXPECT_EQ(record->members, support) << label;
+      for (size_t i = 0; i < support.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(record->weights[i]),
+                  std::bit_cast<uint64_t>(state.x(support[i])))
+            << label;
+      }
+      EXPECT_EQ(record->read_set,
+                std::vector<VertexId>(state.read_set().begin(),
+                                      state.read_set().end()))
+          << label;
+    }
+    EXPECT_GT(kept, 0u);
+    // The carried memo answers as a fresh one does.
+    ExpectMemoRunsMatch(patched, carried.get(),
+                        "batch " + std::to_string(batch));
+    gd_plus = patched;
+    memo = carried;
+  }
+  EXPECT_GT(dropped, 0u);
+}
+
+TEST(DescentMemoTest, DropsARecordWhoseReadSetMeetsAChangeOutsideItsSupport) {
+  // A change that touches a descent's read set only at a vertex the
+  // refined support does not hold still invalidates the record: that row
+  // steered the descent even though the answer left it.
+  const Graph gd_plus = MemoTestGraph(5);
+  const VertexId n = gd_plus.NumVertices();
+  DescentMemo memo;
+  ASSERT_TRUE(RunDcsgaAllInits(gd_plus, {}, &memo).ok());
+  const DescentRecord* target = nullptr;
+  VertexId outside = 0;
+  for (VertexId seed = 0; seed < n && target == nullptr; ++seed) {
+    const DescentRecord* record = memo.Find(seed);
+    if (record == nullptr) continue;
+    for (const VertexId v : record->read_set) {
+      if (!std::binary_search(record->members.begin(), record->members.end(),
+                              v)) {
+        target = record;
+        outside = v;
+        break;
+      }
+    }
+  }
+  ASSERT_NE(target, nullptr) << "no descent read a row outside its support";
+  // The other endpoint lies outside the read set, so the change meets the
+  // read set at `outside` alone.
+  VertexId far = 0;
+  while (far == outside ||
+         std::count(target->read_set.begin(), target->read_set.end(), far)) {
+    ++far;
+  }
+  const std::vector<VertexId> endpoints = {outside, far};
+  std::shared_ptr<DescentMemo> carried = memo.CarriedOver(endpoints);
+  EXPECT_EQ(carried->Find(target->seed), nullptr);
+  // Records whose read sets avoid both endpoints survive.
+  size_t survivors = 0;
+  for (VertexId seed = 0; seed < n; ++seed) {
+    const DescentRecord* record = memo.Find(seed);
+    if (record == nullptr) continue;
+    const bool touched =
+        std::count(record->read_set.begin(), record->read_set.end(),
+                   outside) != 0 ||
+        std::count(record->read_set.begin(), record->read_set.end(), far) != 0;
+    EXPECT_EQ(carried->Find(seed) != nullptr, !touched) << "seed " << seed;
+    survivors += touched ? 0 : 1;
+  }
+  EXPECT_EQ(carried->size(), survivors);
 }
 
 }  // namespace
